@@ -74,16 +74,19 @@ staticcheck:
 
 # Coverage-guided fuzzing of every decoder that eats untrusted bytes:
 # the dense v1/v2 readers, the SGC2 snapshot codec, the sparse reader,
-# and the format-sniffing LoadAny entry point. Each target gets
-# $(FUZZTIME); the committed corpus under testdata/fuzz/ (including the
-# nonzero-padding crasher FuzzSnapshot found) always replays in plain
-# `go test`.
+# and the format-sniffing LoadAny entry point — plus the kernel
+# identity targets: parallel hierarchization and batch evaluation
+# (random batch size, workers and block width) against their reference
+# kernels. Each target gets $(FUZZTIME); the committed corpus under
+# testdata/fuzz/ (including the nonzero-padding crasher FuzzSnapshot
+# found) always replays in plain `go test`.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzReadGrid$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzSnapshot$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzReadSparse$$' -fuzztime $(FUZZTIME) ./internal/core
 	$(GO) test -run '^$$' -fuzz '^FuzzLoadAny$$' -fuzztime $(FUZZTIME) .
 	$(GO) test -run '^$$' -fuzz '^FuzzParallelHierIdentity$$' -fuzztime $(FUZZTIME) ./internal/hier
+	$(GO) test -run '^$$' -fuzz '^FuzzEvalTableIdentity$$' -fuzztime $(FUZZTIME) ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzAdaptiveInvariants$$' -fuzztime $(FUZZTIME) ./internal/adaptive
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreCacheIndex$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/store

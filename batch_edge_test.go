@@ -34,10 +34,10 @@ func TestEvaluateBatchEmpty(t *testing.T) {
 	if err != nil || len(out) != 0 {
 		t.Fatalf("empty batch: out %v err %v", out, err)
 	}
-	// Blocked + parallel configurations must handle empty input too.
-	gb := newCompressed(t, 3, 4, WithWorkers(4), WithBlockSize(8))
+	// Parallel configurations must handle empty input too.
+	gb := newCompressed(t, 3, 4, WithWorkers(4))
 	if out, err := gb.EvaluateBatch(nil, nil); err != nil || len(out) != 0 {
-		t.Fatalf("blocked empty batch: out %v err %v", out, err)
+		t.Fatalf("parallel empty batch: out %v err %v", out, err)
 	}
 }
 
@@ -93,8 +93,8 @@ func TestEvaluateBatchOutOfDomainClamps(t *testing.T) {
 	for _, opts := range [][]Option{
 		nil,
 		{WithWorkers(3)},
-		{WithBlockSize(2)},
-		{WithWorkers(2), WithBlockSize(2)},
+		{WithWorkers(0)},
+		{WithWorkers(4)},
 	} {
 		gc := newCompressed(t, 2, 5, opts...)
 		out, err := gc.EvaluateBatch(xs, nil)

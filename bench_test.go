@@ -120,7 +120,7 @@ func BenchmarkFig9Evaluation(b *testing.B) {
 		hier.Iterative(g)
 		b.ResetTimer()
 		for k := 0; k < b.N; k++ {
-			eval.Batch(g, xs, out, eval.Options{})
+			eval.Batch(g, xs, out, eval.Options{Workers: 1, BlockSize: 1})
 		}
 		reportPerPoint(b, int64(b.N)*int64(len(xs)))
 	})
@@ -187,7 +187,7 @@ func BenchmarkFig10Evaluation(b *testing.B) {
 	out := make([]float64, len(xs))
 	b.Run("CPU_sequential", func(b *testing.B) {
 		for k := 0; k < b.N; k++ {
-			eval.Batch(g, xs, out, eval.Options{})
+			eval.Batch(g, xs, out, eval.Options{Workers: 1, BlockSize: 1})
 		}
 	})
 	b.Run("CPU_2workers", func(b *testing.B) {
@@ -327,9 +327,9 @@ func BenchmarkAblationBlocking(b *testing.B) {
 	hier.Iterative(g)
 	xs := workload.Points(12, 512, benchDim)
 	out := make([]float64, len(xs))
-	for _, bs := range []int{0, 16, 64, 256} {
+	for _, bs := range []int{1, 16, 64, 256} {
 		name := "unblocked"
-		if bs > 0 {
+		if bs > 1 {
 			name = fmt.Sprintf("block%d", bs)
 		}
 		b.Run(name, func(b *testing.B) {
@@ -514,14 +514,15 @@ func reportPerPoint(b *testing.B, points int64) {
 	}
 }
 
-// BenchmarkKernelEval — batch evaluation of benchPoints query points,
-// sequential, parallel, and cache-blocked.
+// BenchmarkKernelEval — batch evaluation of benchPoints query points:
+// one worker and kernelParWorkers workers at the derived block width,
+// and an explicit 256-point block (capped at the batch size).
 func BenchmarkKernelEval(b *testing.B) {
 	variants := []struct {
 		name string
 		opt  eval.Options
 	}{
-		{"seq", eval.Options{}},
+		{"seq", eval.Options{Workers: 1}},
 		{"par", eval.Options{Workers: kernelParWorkers}},
 		{"blk256", eval.Options{BlockSize: 256}},
 	}
@@ -600,8 +601,8 @@ func BenchmarkKernelHierScaling(b *testing.B) {
 }
 
 // BenchmarkKernelEvalScaling — batch evaluation of 512 query points on
-// the l7/d5 grid at 1..8 workers (static per-query decomposition with
-// line-aligned output chunks).
+// the l7/d5 grid at 1..8 workers (static decomposition in whole cache
+// blocks).
 func BenchmarkKernelEvalScaling(b *testing.B) {
 	desc := benchDesc(b)
 	g := core.NewGrid(desc)

@@ -133,7 +133,7 @@ func runAblationBlocking(p params) error {
 	t := report.NewTable(
 		fmt.Sprintf("§4.3 ablation — blocked batch evaluation, d=%d, level %d, %d points", d, p.level, len(xs)),
 		"variant", "time", "vs unblocked")
-	base := report.Best(p.reps, func() { eval.Batch(g, xs, out, eval.Options{}) })
+	base := report.Best(p.reps, func() { eval.Batch(g, xs, out, eval.Options{BlockSize: 1}) })
 	t.AddRow("point-major (no blocking)", report.Seconds(base), report.Ratio(1))
 	for _, bs := range []int{16, 64, 256} {
 		sec := report.Best(p.reps, func() { eval.Batch(g, xs, out, eval.Options{BlockSize: bs}) })

@@ -120,7 +120,7 @@ func runFig10b(p params) error {
 		out := make([]float64, len(xs))
 
 		tseq := report.Best(p.reps, func() {
-			eval.Batch(g, xs, out, eval.Options{})
+			eval.Batch(g, xs, out, eval.Options{Workers: 1, BlockSize: 1})
 		})
 		if tseq <= 0 {
 			tseq = 1e-9

@@ -96,7 +96,7 @@ func runFig11b(p params) error {
 			g := core.NewGrid(desc)
 			g.Fill(fn.F)
 			hier.Iterative(g)
-			seq := report.Best(p.reps, func() { eval.Batch(g, xs, out, eval.Options{}) })
+			seq := report.Best(p.reps, func() { eval.Batch(g, xs, out, eval.Options{Workers: 1, BlockSize: 1}) })
 			w = compactEvalWorkload(desc, len(xs), seq)
 		} else {
 			s := grids.New(kind, desc)

@@ -91,7 +91,7 @@ func runFig9b(p params) error {
 				hier.Iterative(g)
 				out := make([]float64, len(xs))
 				sec = report.Best(p.reps, func() {
-					eval.Batch(g, xs, out, eval.Options{})
+					eval.Batch(g, xs, out, eval.Options{Workers: 1, BlockSize: 1})
 				})
 			} else {
 				s := grids.New(kind, desc)

@@ -41,7 +41,7 @@ func runPaperScale(p params) error {
 
 	xs := workload.Points(p.seed, 100, dim)
 	out := make([]float64, len(xs))
-	evalSec := report.MeasureSeconds(func() { eval.Batch(g, xs, out, eval.Options{Workers: p.maxWorkers}) })
+	evalSec := report.MeasureSeconds(func() { eval.Batch(g, xs, out, eval.Options{Workers: p.maxWorkers, BlockSize: 1}) })
 	t.AddRow(fmt.Sprintf("evaluate %d points (decompress)", len(xs)), report.Seconds(evalSec))
 	t.AddRow("  per evaluation", report.Seconds(evalSec/float64(len(xs))))
 

@@ -87,7 +87,7 @@ func runScaling(p params) error {
 		base = 0
 		for _, w := range ws {
 			best := report.Best(p.reps, func() {
-				eval.Batch(g, xs, out, eval.Options{Workers: w})
+				eval.Batch(g, xs, out, eval.Options{Workers: w, BlockSize: 1})
 			})
 			if w == ws[0] {
 				base = best

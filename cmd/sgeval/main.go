@@ -17,6 +17,7 @@ import (
 	"strings"
 
 	"compactsg"
+	"compactsg/internal/par"
 	"compactsg/internal/report"
 	"compactsg/internal/workload"
 )
@@ -34,7 +35,6 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	random := fs.Int("random", 0, "evaluate at N random points instead of reading them")
 	seed := fs.Int64("seed", 1, "random point seed")
 	workers := fs.Int("workers", 0, "evaluation workers (0 = auto: GOMAXPROCS)")
-	block := fs.Int("block", 0, "cache blocking size (0 = off)")
 	timing := fs.Bool("time", false, "print timing to stderr")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -45,7 +45,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	g, err := compactsg.LoadAny(f, compactsg.WithWorkers(*workers), compactsg.WithBlockSize(*block))
+	g, err := compactsg.LoadAny(f, compactsg.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}
@@ -101,7 +101,7 @@ func run(args []string, stdin io.Reader, stdout io.Writer) error {
 	}
 	if *timing {
 		fmt.Fprintf(os.Stderr, "%d evaluations in %s (%s/point, %d workers)\n",
-			len(xs), report.Seconds(sec), report.Seconds(sec/float64(len(xs))), *workers)
+			len(xs), report.Seconds(sec), report.Seconds(sec/float64(len(xs))), par.Resolve(*workers))
 	}
 	return nil
 }

@@ -110,3 +110,18 @@ func TestRunErrors(t *testing.T) {
 		t.Error("wrong-dimension point accepted")
 	}
 }
+
+// TestRunNaNCoordinate: strconv.ParseFloat accepts "NaN", so a NaN
+// coordinate reaches the kernel; it must evaluate to NaN, not panic.
+func TestRunNaNCoordinate(t *testing.T) {
+	path := writeGrid(t, true)
+	var out bytes.Buffer
+	in := strings.NewReader("NaN,0.5\n0.5,0.5\n")
+	if err := run([]string{"-i", path}, in, &out); err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSpace(out.String()), "\n")
+	if len(lines) != 2 || lines[0] != "NaN,0.5\tNaN" || !strings.HasPrefix(lines[1], "0.5,0.5\t1") {
+		t.Fatalf("unexpected output %q", out.String())
+	}
+}

@@ -6,7 +6,7 @@
 //
 //	sgserve field.sg                              # name = "field"
 //	sgserve -grid vol=vol.sg -grid rate=rate.sgs  # explicit names
-//	sgserve -addr :9000 -workers 4 -block 64 field.sg
+//	sgserve -addr :9000 -workers 4 field.sg
 //
 // Endpoints:
 //
@@ -87,7 +87,6 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("sgserve", flag.ContinueOnError)
 	addr := fs.String("addr", ":8177", "listen address")
 	workers := fs.Int("workers", 0, "evaluation worker pool size per grid (0 = auto: GOMAXPROCS)")
-	block := fs.Int("block", 64, "cache-blocking block size for batch dispatch (0 = off)")
 	maxGrids := fs.Int("max-grids", 8, "max grids resident in memory (LRU beyond)")
 	noCoalesce := fs.Bool("no-coalesce", false, "disable micro-batching: evaluate each /v1/eval on its own goroutine")
 	maxBatch := fs.Int("max-batch", 256, "micro-batch size cap for coalesced /v1/eval")
@@ -159,7 +158,6 @@ func run(args []string) error {
 
 	cfg := serve.Config{
 		Workers:        *workers,
-		BlockSize:      *block,
 		MaxResident:    *maxGrids,
 		Coalesce:       !*noCoalesce,
 		MaxBatch:       *maxBatch,
@@ -336,8 +334,8 @@ func run(args []string) error {
 		if resolved == 0 {
 			resolved = runtime.GOMAXPROCS(0)
 		}
-		log.Printf("listening on %s (coalesce=%v workers=%d block=%d trace-ring=%d pprof=%v)",
-			*addr, !*noCoalesce, resolved, *block, max(*traceRing, 0), *pprofOn)
+		log.Printf("listening on %s (coalesce=%v workers=%d trace-ring=%d pprof=%v)",
+			*addr, !*noCoalesce, resolved, max(*traceRing, 0), *pprofOn)
 		if err := hs.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}

@@ -49,7 +49,7 @@ func run(args []string, stdout io.Writer) error {
 		return err
 	}
 	defer f.Close()
-	g, err := compactsg.LoadAny(f, compactsg.WithWorkers(*workers), compactsg.WithBlockSize(128))
+	g, err := compactsg.LoadAny(f, compactsg.WithWorkers(*workers))
 	if err != nil {
 		return err
 	}

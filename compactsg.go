@@ -44,7 +44,6 @@ type Grid struct {
 	g          *core.Grid
 	compressed bool
 	workers    int
-	blockSize  int
 	// readonly marks a grid whose coefficients live in a read-only
 	// memory mapping (see Open): mutating it would fault, so the
 	// mutating methods refuse with ErrReadOnly instead.
@@ -71,18 +70,6 @@ func WithWorkers(n int) Option {
 			return fmt.Errorf("compactsg: workers %d < 0 (0 means auto)", n)
 		}
 		g.workers = n
-		return nil
-	}
-}
-
-// WithBlockSize enables cache-blocked batch evaluation with the given
-// block of query points per subspace pass (0 disables blocking).
-func WithBlockSize(n int) Option {
-	return func(g *Grid) error {
-		if n < 0 {
-			return fmt.Errorf("compactsg: block size %d < 0", n)
-		}
-		g.blockSize = n
 		return nil
 	}
 }
@@ -206,7 +193,9 @@ func (g *Grid) Evaluate(x []float64) (float64, error) {
 }
 
 // EvaluateBatch interpolates at many points using the configured
-// workers and blocking; out may be nil.
+// workers; out may be nil. The points are evaluated in cache blocks
+// whose width the kernel derives from the grid's shape (paper
+// Sec. 4.3).
 func (g *Grid) EvaluateBatch(xs [][]float64, out []float64) ([]float64, error) {
 	if !g.compressed {
 		return nil, errors.New("compactsg: EvaluateBatch requires a compressed grid")
@@ -216,7 +205,7 @@ func (g *Grid) EvaluateBatch(xs [][]float64, out []float64) ([]float64, error) {
 			return nil, fmt.Errorf("compactsg: point %d has %d coordinates, grid has %d dimensions", k, len(x), g.Dim())
 		}
 	}
-	return eval.Batch(g.g, xs, out, eval.Options{Workers: g.workers, BlockSize: g.blockSize}), nil
+	return eval.Batch(g.g, xs, out, eval.Options{Workers: g.workers}), nil
 }
 
 // Integrate returns ∫ fs over [0,1]^d of the compressed grid, computed
@@ -363,7 +352,7 @@ type BoundaryGrid struct {
 }
 
 // NewWithBoundary creates an extended sparse grid. Options: WithWorkers
-// (parallel face transforms); WithBlockSize is not applicable.
+// (parallel face transforms).
 func NewWithBoundary(dim, level int, opts ...Option) (*BoundaryGrid, error) {
 	b, err := boundary.New(dim, level)
 	if err != nil {

@@ -21,9 +21,6 @@ func TestNewValidation(t *testing.T) {
 	if _, err := New(3, 4, WithWorkers(-1)); err == nil {
 		t.Error("workers -1 accepted")
 	}
-	if _, err := New(3, 4, WithBlockSize(-1)); err == nil {
-		t.Error("negative block size accepted")
-	}
 }
 
 func TestPaperGridSizes(t *testing.T) {
@@ -130,7 +127,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if err := g.Save(&buf); err != nil {
 		t.Fatal(err)
 	}
-	back, err := Load(&buf, WithWorkers(2), WithBlockSize(16))
+	back, err := Load(&buf, WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +146,7 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 }
 
 func TestBatchMatchesSingle(t *testing.T) {
-	g, _ := New(4, 4, WithWorkers(3), WithBlockSize(8))
+	g, _ := New(4, 4, WithWorkers(3))
 	g.Compress(workload.Parabola.F)
 	xs := workload.Points(2, 50, 4)
 	batch, err := g.EvaluateBatch(xs, nil)

@@ -24,10 +24,10 @@ func ExampleNew() {
 	// points: 1793, f(center) = 1.0000
 }
 
-// Batch evaluation distributes query points over workers and can use
-// the paper's cache-blocked traversal.
+// Batch evaluation distributes query points over workers in the
+// paper's cache-blocked traversal.
 func ExampleGrid_EvaluateBatch() {
-	g, _ := compactsg.New(3, 6, compactsg.WithWorkers(2), compactsg.WithBlockSize(32))
+	g, _ := compactsg.New(3, 6, compactsg.WithWorkers(2))
 	g.Compress(func(x []float64) float64 {
 		return 64 * x[0] * (1 - x[0]) * x[1] * (1 - x[1]) * x[2] * (1 - x[2])
 	})

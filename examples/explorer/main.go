@@ -41,7 +41,7 @@ const (
 func main() {
 	// Compress once (preprocessing).
 	start := time.Now()
-	g, err := compactsg.New(dim, level, compactsg.WithWorkers(4), compactsg.WithBlockSize(128))
+	g, err := compactsg.New(dim, level, compactsg.WithWorkers(4))
 	if err != nil {
 		log.Fatal(err)
 	}

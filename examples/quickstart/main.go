@@ -47,8 +47,9 @@ func main() {
 		fmt.Printf("f%v = %.6f   (exact %.6f, error %.2e)\n", x, y, f(x), math.Abs(y-f(x)))
 	}
 
-	// Batch evaluation with blocking — the paper's cache optimization.
-	gb, err := compactsg.New(4, 8, compactsg.WithWorkers(4), compactsg.WithBlockSize(64))
+	// Batch evaluation — the kernel applies the paper's cache blocking
+	// on its own, with a block width derived from the grid's shape.
+	gb, err := compactsg.New(4, 8, compactsg.WithWorkers(4))
 	if err != nil {
 		log.Fatal(err)
 	}

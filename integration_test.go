@@ -133,7 +133,7 @@ func TestFig1PipelineEndToEnd(t *testing.T) {
 	if int64(store.Len()) > full.MemoryBytes()/4 {
 		t.Errorf("compressed artifact (%d B) not much smaller than the full grid (%d B)", store.Len(), full.MemoryBytes())
 	}
-	loaded, err := compactsg.Load(&store, compactsg.WithBlockSize(32))
+	loaded, err := compactsg.Load(&store, compactsg.WithWorkers(0))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func newRand(seed int64) func() float64 {
 
 func TestPublicAPIAgainstInternalReference(t *testing.T) {
 	f := workload.Parabola.F
-	g, err := compactsg.New(4, 5, compactsg.WithWorkers(2), compactsg.WithBlockSize(16))
+	g, err := compactsg.New(4, 5, compactsg.WithWorkers(2))
 	if err != nil {
 		t.Fatal(err)
 	}

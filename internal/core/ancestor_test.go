@@ -1,13 +1,15 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
 
 // TestCellIndexEdges pins the shared clamp-to-cell rule once for every
 // consumer (PointAt, the eval table builder, the gradient walk):
-// x = 1.0 and anything beyond land in the last cell, x < 0 in the first.
+// x = 1.0 and anything beyond land in the last cell, x < 0 and NaN in
+// the first.
 func TestCellIndexEdges(t *testing.T) {
 	for _, level := range []int32{0, 1, 3, 7} {
 		cells := int64(1) << uint32(level)
@@ -22,6 +24,7 @@ func TestCellIndexEdges(t *testing.T) {
 			{1.5, cells - 1},
 			{1e300, cells - 1},
 			{0.999999999, cells - 1},
+			{math.NaN(), 0},
 		}
 		for _, c := range cases {
 			if got := CellIndex(level, c.x); got != c.want {

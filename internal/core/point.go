@@ -93,14 +93,16 @@ func (d *Descriptor) Contains(l, i []int32) bool {
 // ⌊x·2^level⌋ clamped into [0, 2^level−1]. On 1d level l the supports of
 // the 2^l basis functions tile [0,1] in cells of width 2^−l; the clamp
 // assigns x < 0 to the first cell and x ≥ 1 (including x = 1.0, whose
-// unclamped cell index would be 2^l) to the last one. This is the single
-// clamp-to-cell rule shared by PointAt, the evaluation table builder and
-// the gradient walk.
+// unclamped cell index would be 2^l) to the last one. NaN also lands in
+// the first cell, so every kernel stays in bounds and propagates NaN
+// through the hat value instead of indexing out of range. This is the
+// single clamp-to-cell rule shared by PointAt, the evaluation table
+// builder and the gradient walk.
 func CellIndex(level int32, x float64) int64 {
 	cells := int64(1) << uint32(level)
-	if x <= 0 {
-		// Also catches the float→int64 conversion overflow of huge
-		// negative x, which is implementation-defined in Go.
+	if !(x > 0) {
+		// Also catches NaN and the float→int64 conversion overflow of
+		// huge negative x, which is implementation-defined in Go.
 		return 0
 	}
 	if x >= 1 {

@@ -28,26 +28,28 @@ import (
 // x must lie in [0,1]^d; coordinates are clamped into the domain.
 func Iterative(g *core.Grid, x []float64) float64 {
 	desc := g.Desc()
-	s := getScratch(desc.Dim(), desc.Level())
-	s.tb.build(x)
-	res := iterativeInto(g, &s.tb, s.l)
-	putScratch(s)
+	sc := getBlockScratch(1, desc.Dim(), desc.Level())
+	sc.build(0, x)
+	res := iterativeInto(g, sc)
+	putBlockScratch(sc)
 	return res
 }
 
 // iterativeInto walks every subspace and accumulates the one contributing
 // point per subspace, reading cell indices and hat values from the
-// per-query tables tb (already built for the query point). l is level
-// scratch of length Dim(). The inner loop is pure table lookups and
-// integer shifts — no float→int conversion, no division, no basis call.
-func iterativeInto(g *core.Grid, tb *basisTables, l []int32) float64 {
+// tables of block point 0 of sc (already built for the query point). The
+// inner loop is pure table lookups and integer shifts — no float→int
+// conversion, no division, no basis call. It stays a loop of its own:
+// a single point needs no block, and Iterative is the reference the
+// benchmark harness checks batch results against.
+func iterativeInto(g *core.Grid, sc *blockScratch) float64 {
 	desc := g.Desc()
 	data := g.Data
 	d := desc.Dim()
-	n := tb.n
-	cell, phi := tb.cell, tb.phi
+	n := sc.n
+	cell, phi := sc.cell[:d*n], sc.phi
 	phi = phi[:len(cell)] // BCE: phi[j] rides on cell[j]'s bounds check
-	l = l[:d]             // BCE: l[t] for t < d
+	l := sc.l[:d]         // BCE: l[t] for t < d
 	res := 0.0
 	var index2 int64 // running offset of the current subspace (index2+index3)
 	for grp := 0; grp < desc.Groups(); grp++ {
@@ -150,13 +152,15 @@ func RecursiveBatch(s grids.Store, xs [][]float64, out []float64, workers int) [
 type Options struct {
 	// Workers is the number of goroutines evaluating query points
 	// (static decomposition, paper Sec. 5.3). 0 means auto: the count
-	// resolves to GOMAXPROCS at call time, so a 1-CPU host always takes
-	// the sequential path. 1 forces sequential.
+	// resolves to GOMAXPROCS at call time. A call never uses more
+	// workers than it has blocks, so a one-block batch runs entirely on
+	// the calling goroutine.
 	Workers int
-	// BlockSize switches on the paper's cache-blocking optimization
-	// (Sec. 4.3): the subspace loop becomes the outer loop and each
-	// subspace is applied to BlockSize query points while its
-	// coefficients are cache-resident. 0 disables blocking.
+	// BlockSize is the number of query points each subspace sweep
+	// serves while the subspace's coefficients are cache-resident (the
+	// paper's cache blocking, Sec. 4.3). 0, the default, derives the
+	// width from the grid's shape (blockWidth); 1 is the point-major
+	// loop of Alg. 7. Only ablations and benchmarks set it.
 	BlockSize int
 }
 
@@ -171,90 +175,88 @@ func Batch(g *core.Grid, xs [][]float64, out []float64, opt Options) []float64 {
 	return out
 }
 
-// batchInto is Batch with a mandatory output slice. out is never
-// reassigned here, so the worker closures capture it by value —
-// reassigning a captured parameter (as Batch must for out == nil) would
-// heap-box the slice header on every call, including the sequential
-// zero-alloc path.
-func batchInto(g *core.Grid, xs [][]float64, out []float64, opt Options) {
-	if opt.BlockSize > 0 {
-		batchBlocked(g, xs, out, opt)
-		return
+// tableBudget bounds the basis tables of one block (W·d·n entries of 16
+// bytes) so they stay cache-resident beside the subspace coefficients
+// they are combined with. 64 KiB gives width 64 at d=5 level 10 and 32
+// at d=10 levels 7–8 (DESIGN.md §8.1).
+const tableBudget = 64 << 10
+
+// residentBudget is the largest coefficient array treated as
+// cache-resident. On such a grid blocking only amortizes the sweep's
+// per-subspace overhead, which 16 points already do; wider blocks just
+// crowd L1 and measured slower with two workers (DESIGN.md §8.1).
+const residentBudget = 1 << 20
+
+// blockWidth is the derived block width for g: 16 on a cache-resident
+// grid, else 64 — each halved until the block tables fit tableBudget.
+func blockWidth(g *core.Grid) int {
+	w := 64
+	if g.MemoryBytes() <= residentBudget {
+		w = 16
 	}
-	desc := g.Desc()
-	workers := par.Resolve(opt.Workers)
-	if workers > len(xs) {
-		workers = len(xs)
+	for w > 1 && w*g.Dim()*g.Level()*16 > tableBudget {
+		w /= 2
 	}
-	if workers <= 1 {
-		s := getScratch(desc.Dim(), desc.Level())
-		for k, x := range xs {
-			s.tb.build(x)
-			out[k] = iterativeInto(g, &s.tb, s.l)
-		}
-		putScratch(s)
-		return
-	}
-	// Static decomposition over query points: one contiguous chunk of
-	// out per worker, boundaries rounded to cache-line multiples so two
-	// workers never write the same 64-byte line of results (each worker
-	// also carries its own pooled basis tables, DESIGN.md §10).
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo, hi := par.AlignedSplit(int64(len(xs)), workers, w, par.LineFloat64s)
-		if lo >= hi {
-			continue
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			s := getScratch(desc.Dim(), desc.Level())
-			for k := lo; k < hi; k++ {
-				s.tb.build(xs[k])
-				out[k] = iterativeInto(g, &s.tb, s.l)
-			}
-			putScratch(s)
-		}(int(lo), int(hi))
-	}
-	wg.Wait()
+	return w
 }
 
-// batchBlocked is the subspace-outer evaluation: every subspace's
-// coefficient block is streamed once per block of query points, so it is
-// read from cache rather than memory for all but the first point of each
-// block (paper Sec. 4.3, last paragraph).
-func batchBlocked(g *core.Grid, xs [][]float64, out []float64, opt Options) {
+// batchInto is Batch with a mandatory output slice: one block-major
+// kernel for every Options value. The batch is cut into blocks of
+// min(len(xs), width) points, and whole blocks are dealt statically
+// to workers (DESIGN.md §10). A one-worker call sweeps on the calling
+// goroutine, so it spawns and allocates nothing. A multi-worker call
+// runs every share on its own goroutine and only waits: were the
+// caller to sweep a share itself, the goroutine it spawned last would
+// sit in its P's runnext slot, which other Ps steal from only after a
+// back-off. xs and out are never reassigned here, so the worker
+// closures capture them by value — a captured, reassigned parameter
+// would be heap-boxed on every call, the sequential path included.
+func batchInto(g *core.Grid, xs [][]float64, out []float64, opt Options) {
 	bs := opt.BlockSize
-	workers := par.Resolve(opt.Workers)
-	var wg sync.WaitGroup
-	blocks := (len(xs) + bs - 1) / bs
-	next := make(chan int, blocks)
-	for b := 0; b < blocks; b++ {
-		next <- b
+	if bs <= 0 {
+		bs = blockWidth(g)
 	}
-	close(next)
-	desc := g.Desc()
-	for w := 0; w < workers; w++ {
+	w := min(bs, len(xs))
+	if w == 0 {
+		return
+	}
+	workers := min(par.Resolve(opt.Workers), (len(xs)+w-1)/w)
+	if workers == 1 {
+		sweep(g, xs, out, w)
+		return
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		lo, hi := par.AlignedSplit(int64(len(xs)), workers, i, int64(w))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sc := getBlockScratch(bs, desc.Dim(), desc.Level())
-			for b := range next {
-				lo := b * bs
-				hi := min(lo+bs, len(xs))
-				evalBlock(g, xs[lo:hi], out[lo:hi], sc)
-			}
-			putBlockScratch(sc)
+			sweep(g, xs[lo:hi], out[lo:hi], w)
 		}()
 	}
 	wg.Wait()
 }
 
+// sweep evaluates xs block by block, w points per block, reusing one
+// pooled scratch.
+func sweep(g *core.Grid, xs [][]float64, out []float64, w int) {
+	desc := g.Desc()
+	sc := getBlockScratch(w, desc.Dim(), desc.Level())
+	for lo := 0; lo < len(xs); lo += w {
+		hi := min(lo+w, len(xs))
+		evalBlock(g, xs[lo:hi], out[lo:hi], sc)
+	}
+	putBlockScratch(sc)
+}
+
 // evalBlock accumulates all subspace contributions for one block of
-// query points, subspace-major. The per-point basis tables are built
-// once up front (O(block·d·n)); the subspace sweep then touches each
-// point with pure lookups while the subspace's coefficients stay
-// cache-resident.
+// query points, subspace-major: every subspace's coefficient block is
+// streamed once per block of query points, so it is read from cache
+// rather than memory for all but the first point of the block (paper
+// Sec. 4.3, last paragraph). The per-point basis tables are built once
+// up front (O(block·d·n)); the subspace sweep then touches each point
+// with pure lookups. Each point's sum is accumulated in the same order
+// as iterativeInto's, so the result is bit-identical at any width.
 func evalBlock(g *core.Grid, xs [][]float64, out []float64, sc *blockScratch) {
 	desc := g.Desc()
 	data := g.Data

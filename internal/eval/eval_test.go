@@ -121,8 +121,9 @@ func TestBatchVariantsIdentical(t *testing.T) {
 	g := hierGrid(4, 4, parabola)
 	rng := rand.New(rand.NewSource(8))
 	xs := randPoints(rng, 137, 4)
-	ref := Batch(g, xs, nil, Options{})
+	ref := references(g, xs)
 	variants := []Options{
+		{},
 		{Workers: 2},
 		{Workers: 5},
 		{BlockSize: 16},
@@ -131,12 +132,7 @@ func TestBatchVariantsIdentical(t *testing.T) {
 		{Workers: 8, BlockSize: 1},
 	}
 	for _, opt := range variants {
-		got := Batch(g, xs, nil, opt)
-		for k := range got {
-			if got[k] != ref[k] {
-				t.Fatalf("options %+v: result %d differs: %g vs %g", opt, k, got[k], ref[k])
-			}
-		}
+		checkBatch(t, g, xs, ref, opt)
 	}
 }
 

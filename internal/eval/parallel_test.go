@@ -1,17 +1,15 @@
 package eval
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 )
 
-// Parallel batch evaluation deals contiguous cache-line-aligned chunks
-// of query points to workers (DESIGN.md §10); every point is still
-// evaluated by the same single-query kernel, so results must be
-// bit-identical to the sequential pass at any worker count — including
-// counts exceeding the number of points, where trailing workers get
-// empty chunks.
+// Parallel batch evaluation deals whole cache blocks of query points
+// to workers (DESIGN.md §10); every point is still accumulated in the
+// same subspace order, so results must be bit-identical to the
+// reference kernel at any worker count — including counts exceeding
+// the number of points or blocks, where the surplus workers stay idle.
 func TestBatchParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, c := range []struct{ d, n, pts int }{
@@ -24,39 +22,22 @@ func TestBatchParallelBitIdentical(t *testing.T) {
 	} {
 		g := hierGrid(c.d, c.n, parabola)
 		xs := randPoints(rng, c.pts, c.d)
-		want := Batch(g, xs, nil, Options{})
-		for _, workers := range []int{1, 2, 3, 8} {
-			got := Batch(g, xs, nil, Options{Workers: workers})
-			for k := range want {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("d=%d n=%d pts=%d workers=%d: out[%d] = %v, sequential %v",
-						c.d, c.n, c.pts, workers, k, got[k], want[k])
-				}
-			}
-		}
+		want := references(g, xs)
 		// Workers = 0 resolves to GOMAXPROCS; still identical.
-		got := Batch(g, xs, nil, Options{Workers: 0})
-		for k := range want {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("d=%d auto workers: out[%d] = %v, sequential %v", c.d, k, got[k], want[k])
-			}
+		for _, workers := range []int{0, 1, 2, 3, 8} {
+			checkBatch(t, g, xs, want, Options{Workers: workers})
 		}
 	}
 }
 
-// The cache-blocked variant must agree bit for bit with the plain
-// parallel path too (same kernel, different loop order over blocks).
+// Explicit block widths must agree bit for bit with the reference too
+// (same kernel, different cut of the batch into blocks).
 func TestBatchBlockedParallelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	g := hierGrid(4, 5, parabola)
 	xs := randPoints(rng, 100, 4)
-	want := Batch(g, xs, nil, Options{})
+	want := references(g, xs)
 	for _, workers := range []int{0, 2, 3, 8} {
-		got := Batch(g, xs, nil, Options{Workers: workers, BlockSize: 16})
-		for k := range want {
-			if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-				t.Fatalf("workers=%d blocked: out[%d] = %v, sequential %v", workers, k, got[k], want[k])
-			}
-		}
+		checkBatch(t, g, xs, want, Options{Workers: workers, BlockSize: 16})
 	}
 }

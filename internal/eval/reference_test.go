@@ -45,10 +45,12 @@ func iterativeReference(g *core.Grid, x []float64) float64 {
 }
 
 // refQueries draws query points spanning the interesting cases: interior
-// points, out-of-domain points on both sides (exercising the clamp), and
-// the exact edges 0 and 1.
+// points, out-of-domain points on both sides (exercising the clamp), the
+// exact edges 0 and 1, and a point with a NaN coordinate. The special
+// points come last, so every tail slice of three or more points holds
+// all of them.
 func refQueries(rng *rand.Rand, n, d int) [][]float64 {
-	xs := make([][]float64, 0, n+2)
+	xs := make([][]float64, 0, n+3)
 	for k := 0; k < n; k++ {
 		x := make([]float64, d)
 		for t := range x {
@@ -58,16 +60,56 @@ func refQueries(rng *rand.Rand, n, d int) [][]float64 {
 	}
 	zero := make([]float64, d)
 	one := make([]float64, d)
+	nan := make([]float64, d)
 	for t := 0; t < d; t++ {
 		one[t] = 1.0
+		nan[t] = 0.3
 	}
-	return append(xs, zero, one)
+	nan[d/2] = math.NaN()
+	return append(xs, zero, one, nan)
+}
+
+// sameResult reports whether got reproduces the reference want: equal
+// bits, or both NaN (a NaN coordinate must yield NaN, whatever its
+// payload).
+func sameResult(got, want float64) bool {
+	if math.IsNaN(want) {
+		return math.IsNaN(got)
+	}
+	return math.Float64bits(got) == math.Float64bits(want)
+}
+
+// references evaluates the recomputing reference at every point of xs.
+func references(g *core.Grid, xs [][]float64) []float64 {
+	want := make([]float64, len(xs))
+	for k, x := range xs {
+		want[k] = iterativeReference(g, x)
+	}
+	return want
+}
+
+// checkBatch runs xs through Batch with opt and compares every result
+// with the reference values want.
+func checkBatch(t *testing.T, g *core.Grid, xs [][]float64, want []float64, opt Options) {
+	t.Helper()
+	got := Batch(g, xs, nil, opt)
+	if len(got) != len(xs) {
+		t.Fatalf("Batch(%+v) returned %d results for %d points", opt, len(got), len(xs))
+	}
+	for k := range xs {
+		if !sameResult(got[k], want[k]) {
+			t.Fatalf("d=%d n=%d Batch(%+v) of %d points: [%d] = %v, reference %v (x=%v)",
+				g.Dim(), g.Level(), opt, len(xs), k, got[k], want[k], xs[k])
+		}
+	}
 }
 
 // TestTableKernelBitIdentical: the table-driven Iterative and every
-// Batch configuration must reproduce the recomputing reference kernel
-// bit for bit on random grids and queries (including clamped
-// out-of-domain coordinates).
+// Batch configuration — derived and explicit block widths, from
+// point-major to wider than the batch, at every worker count and batch
+// size — must reproduce the recomputing reference kernel bit for bit on
+// random grids and queries (including clamped out-of-domain coordinates
+// and NaN).
 func TestTableKernelBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, c := range []struct{ d, n int }{{1, 1}, {1, 7}, {2, 5}, {3, 6}, {5, 5}, {10, 4}} {
@@ -75,46 +117,42 @@ func TestTableKernelBitIdentical(t *testing.T) {
 		for k := range g.Data {
 			g.Data[k] = rng.NormFloat64()
 		}
-		xs := refQueries(rng, 40, c.d)
-		want := make([]float64, len(xs))
-		for k, x := range xs {
-			want[k] = iterativeReference(g, x)
-		}
-		for k, x := range xs {
-			if got := Iterative(g, x); math.Float64bits(got) != math.Float64bits(want[k]) {
+		pool := refQueries(rng, 1000, c.d)
+		want := references(g, pool)
+		for k, x := range pool {
+			got := Iterative(g, x)
+			if !sameResult(got, want[k]) {
 				t.Fatalf("d=%d n=%d Iterative(%v) = %v, reference %v", c.d, c.n, x, got, want[k])
 			}
+			if math.IsNaN(x[c.d/2]) && !math.IsNaN(got) {
+				t.Fatalf("d=%d n=%d Iterative(%v) = %v, want NaN", c.d, c.n, x, got)
+			}
 		}
-		for _, opt := range []Options{
-			{},
-			{Workers: 3},
-			{BlockSize: 7},
-			{Workers: 2, BlockSize: 16},
-			{BlockSize: len(xs) + 5}, // block larger than the query set
-		} {
-			got := Batch(g, xs, nil, opt)
-			for k := range got {
-				if math.Float64bits(got[k]) != math.Float64bits(want[k]) {
-					t.Fatalf("d=%d n=%d Batch(%+v)[%d] = %v, reference %v (x=%v)",
-						c.d, c.n, opt, k, got[k], want[k], xs[k])
+		for _, pts := range []int{0, 1, 7, 64, 65, 1000} {
+			lo := len(pool) - pts
+			for _, width := range []int{0, 1, 7, 8, 64, pts + 5} {
+				for _, workers := range []int{1, 2, 3, 8} {
+					checkBatch(t, g, pool[lo:], want[lo:], Options{Workers: workers, BlockSize: width})
 				}
 			}
 		}
 	}
 }
 
-// FuzzEvalTableIdentity fuzzes single-query evaluation against the
-// recomputing reference over grid shape, surplus seed and coordinates.
+// FuzzEvalTableIdentity fuzzes single-query evaluation and a batch
+// (size, workers, block width) against the recomputing reference over
+// grid shape, surplus seed and coordinates, NaN included.
 func FuzzEvalTableIdentity(f *testing.F) {
-	f.Add(int64(1), 2, 5, 0.5, 0.25, 0.75)
-	f.Add(int64(2), 3, 4, 0.0, 1.0, 0.999999999)
-	f.Add(int64(3), 1, 7, -0.5, 1.5, 0.1)
-	f.Fuzz(func(t *testing.T, seed int64, d, n int, x0, x1, x2 float64) {
+	f.Add(int64(1), 2, 5, 0.5, 0.25, 0.75, uint8(9), uint8(2), uint8(0))
+	f.Add(int64(2), 3, 4, 0.0, 1.0, 0.999999999, uint8(64), uint8(3), uint8(7))
+	f.Add(int64(3), 1, 7, -0.5, 1.5, 0.1, uint8(1), uint8(0), uint8(1))
+	f.Add(int64(4), 4, 3, math.NaN(), 0.5, 0.5, uint8(17), uint8(8), uint8(200))
+	f.Fuzz(func(t *testing.T, seed int64, d, n int, x0, x1, x2 float64, pts, workers, width uint8) {
 		if d < 1 || d > 4 || n < 1 || n > 7 {
 			t.Skip()
 		}
 		for _, v := range []float64{x0, x1, x2} {
-			if !(v >= -4 && v <= 4) { // also rejects NaN/Inf
+			if !math.IsNaN(v) && !(v >= -4 && v <= 4) { // rejects ±Inf and huge values
 				t.Skip()
 			}
 		}
@@ -127,9 +165,17 @@ func FuzzEvalTableIdentity(f *testing.F) {
 		x := coords[:d]
 		got := Iterative(g, x)
 		want := iterativeReference(g, x)
-		if math.Float64bits(got) != math.Float64bits(want) {
+		if !sameResult(got, want) {
 			t.Fatalf("d=%d n=%d x=%v: table %v != reference %v", d, n, x, got, want)
 		}
+		// The fuzzed point rides in a batch of random points, at a
+		// fuzzed position, worker count (0 = auto) and width (0 =
+		// derived).
+		xs := randPoints(rng, int(pts), d)
+		if len(xs) > 0 {
+			xs[int(seed&0x7fff)%len(xs)] = x
+		}
+		checkBatch(t, g, xs, references(g, xs), Options{Workers: int(workers % 9), BlockSize: int(width)})
 	})
 }
 
@@ -148,7 +194,7 @@ func TestGradientMatchesIterativeValue(t *testing.T) {
 		got := Gradient(g, x, grad)
 		want := Iterative(g, x)
 		tol := 1e-12 * math.Max(1, math.Abs(want))
-		if math.Abs(got-want) > tol {
+		if math.IsNaN(got) != math.IsNaN(want) || math.Abs(got-want) > tol {
 			t.Fatalf("Gradient value at %v = %v, Iterative %v", x, got, want)
 		}
 	}

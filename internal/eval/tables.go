@@ -22,76 +22,15 @@ import (
 // build evaluates exactly the expressions the old inner loop used, once
 // per (t, lvl) instead of once per (subspace, t).
 
-// basisTables holds the per-query tables, flattened as [t*n + lvl] for
-// dimension t and 1d level lvl < n.
-type basisTables struct {
-	d, n int
-	cell []int64   // cell[t*n+lvl]: index of the level-lvl cell containing x_t
-	phi  []float64 // phi[t*n+lvl]:  value of the one nonzero level-lvl hat at x_t
-}
-
-// resize prepares the tables for a d-dimensional level-n grid, reusing
-// backing storage when it is large enough.
-func (tb *basisTables) resize(d, n int) {
-	tb.d, tb.n = d, n
-	if cap(tb.cell) < d*n {
-		tb.cell = make([]int64, d*n)
-		tb.phi = make([]float64, d*n)
-	}
-	tb.cell = tb.cell[:d*n]
-	tb.phi = tb.phi[:d*n]
-}
-
-// build fills the tables for the query point x — O(d·n) work that the
-// subspace walk then reuses for every subspace.
-func (tb *basisTables) build(x []float64) {
-	n := tb.n
-	for t := 0; t < tb.d; t++ {
-		xt := x[t]
-		row := tb.cell[t*n : t*n+n]
-		prow := tb.phi[t*n : t*n+n]
-		for lvl := 0; lvl < n; lvl++ {
-			cells := int64(1) << uint(lvl)
-			c := core.CellIndex(int32(lvl), xt)
-			div := 1.0 / float64(cells)
-			left := float64(c) * div
-			row[lvl] = c
-			prow[lvl] = basis.EvalInterval(left, left+div, xt)
-		}
-	}
-}
-
-// scratch bundles the per-query buffers of the iterative walk (level
-// vector plus basis tables) so single-point evaluation, batch drivers
-// and the serve path run allocation-free at steady state.
-type scratch struct {
-	l  []int32
-	tb basisTables
-}
-
-var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
-
-// getScratch returns a scratch sized for a d-dimensional level-n grid.
-func getScratch(d, n int) *scratch {
-	s := scratchPool.Get().(*scratch)
-	if cap(s.l) < d {
-		s.l = make([]int32, d)
-	}
-	s.l = s.l[:d]
-	s.tb.resize(d, n)
-	return s
-}
-
-func putScratch(s *scratch) { scratchPool.Put(s) }
-
-// blockScratch carries the per-block buffers of the cache-blocked
-// (subspace-major) evaluation: one table set per query point of the
-// block, point-major so each point's tables stay contiguous.
+// blockScratch carries the buffers of one block sweep — the level
+// vector plus one table set per query point of the block, point-major
+// so each point's tables stay contiguous — so single-point evaluation,
+// batch sweeps and the serve path run allocation-free at steady state.
 type blockScratch struct {
 	l    []int32
-	n    int
-	cell []int64 // cell[(k*d+t)*n + lvl] for block point k
-	phi  []float64
+	d, n int
+	cell []int64   // cell[(k*d+t)*n + lvl]: index of the level-lvl cell containing x_t of block point k
+	phi  []float64 // phi[(k*d+t)*n + lvl]:  value of the one nonzero level-lvl hat there
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
@@ -104,7 +43,7 @@ func getBlockScratch(bs, d, n int) *blockScratch {
 		s.l = make([]int32, d)
 	}
 	s.l = s.l[:d]
-	s.n = n
+	s.d, s.n = d, n
 	if cap(s.cell) < bs*d*n {
 		s.cell = make([]int64, bs*d*n)
 		s.phi = make([]float64, bs*d*n)
@@ -116,12 +55,20 @@ func getBlockScratch(bs, d, n int) *blockScratch {
 
 func putBlockScratch(s *blockScratch) { blockScratchPool.Put(s) }
 
-// build fills the tables of block point k for query x.
+// build fills the tables of block point k for query x — O(d·n) work
+// that the subspace walk then reuses for every subspace.
 func (s *blockScratch) build(k int, x []float64) {
-	d, n := len(x), s.n
-	var tb basisTables
-	tb.d, tb.n = d, n
-	tb.cell = s.cell[(k*d)*n : (k*d+d)*n]
-	tb.phi = s.phi[(k*d)*n : (k*d+d)*n]
-	tb.build(x)
+	d, n := s.d, s.n
+	for t, xt := range x[:d] {
+		row := s.cell[(k*d+t)*n : (k*d+t+1)*n]
+		prow := s.phi[(k*d+t)*n : (k*d+t+1)*n]
+		for lvl := 0; lvl < n; lvl++ {
+			cells := int64(1) << uint(lvl)
+			c := core.CellIndex(int32(lvl), xt)
+			div := 1.0 / float64(cells)
+			left := float64(c) * div
+			row[lvl] = c
+			prow[lvl] = basis.EvalInterval(left, left+div, xt)
+		}
+	}
 }

@@ -9,9 +9,9 @@ import (
 	"compactsg/internal/obs"
 )
 
-func compressedGrid(t *testing.T, dim, level int) *compactsg.Grid {
+func compressedGrid(t *testing.T, dim, level int, opts ...compactsg.Option) *compactsg.Grid {
 	t.Helper()
-	g, err := compactsg.New(dim, level)
+	g, err := compactsg.New(dim, level, opts...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -29,28 +29,32 @@ func compressedGrid(t *testing.T, dim, level int) *compactsg.Grid {
 // slice, batch evaluation must not allocate at steady state — the level
 // vector and the per-query 1d basis tables come from the package pools.
 // This is the invariant that keeps the serve flush loop allocation-free.
+// It holds for one worker and for sgserve's auto worker count alike: a
+// batch that fits one cache block runs on the calling goroutine.
 func TestEvaluateBatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
 	}
-	g := compressedGrid(t, 4, 6)
 	xs := [][]float64{
 		{0.1, 0.2, 0.3, 0.4},
 		{0.5, 0.5, 0.5, 0.5},
 		{0.9, 0.1, 0.8, 0.2},
 	}
 	out := make([]float64, len(xs))
-	// Warm the pools.
-	if _, err := g.EvaluateBatch(xs, out); err != nil {
-		t.Fatal(err)
-	}
-	allocs := testing.AllocsPerRun(50, func() {
+	for _, workers := range []int{1, 0} {
+		g := compressedGrid(t, 4, 6, compactsg.WithWorkers(workers))
+		// Warm the pools.
 		if _, err := g.EvaluateBatch(xs, out); err != nil {
 			t.Fatal(err)
 		}
-	})
-	if allocs != 0 {
-		t.Fatalf("EvaluateBatch allocates %v objects per call at steady state, want 0", allocs)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := g.EvaluateBatch(xs, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs != 0 {
+			t.Fatalf("workers=%d: EvaluateBatch allocates %v objects per call at steady state, want 0", workers, allocs)
+		}
 	}
 }
 

@@ -231,6 +231,11 @@ func (b *batcher) run() {
 		res, err := b.grid.EvaluateBatch(xs, out[:len(live)])
 		evalDur := time.Since(evalStart)
 		dispatch := evalStart.Sub(flushed)
+		// Record the batch before any caller wakes, so a caller that
+		// reads the metrics after its result always sees its batch.
+		if b.onFlush != nil {
+			b.onFlush(len(live))
+		}
 		for k, c := range live {
 			r := evalResult{
 				queueWait: flushed.Sub(c.enq),
@@ -244,9 +249,6 @@ func (b *batcher) run() {
 				r.v = res[k]
 			}
 			deliver(c, r)
-		}
-		if b.onFlush != nil {
-			b.onFlush(len(live))
 		}
 	}
 }

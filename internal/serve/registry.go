@@ -175,8 +175,8 @@ func (l *Lease) Release() {
 
 // NewGridSet creates a registry bounded to maxResident in-memory grids
 // (minimum 1). opts are applied to every loaded grid — pass
-// compactsg.WithWorkers / WithBlockSize here so batch dispatch uses
-// the server's worker pool.
+// compactsg.WithWorkers here so batch dispatch uses the server's
+// worker pool.
 func NewGridSet(maxResident int, opts ...compactsg.Option) *GridSet {
 	if maxResident < 1 {
 		maxResident = 1

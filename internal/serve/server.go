@@ -29,8 +29,9 @@ type Config struct {
 	// /v1/eval/batch saturates every core while a 1-CPU host stays on
 	// the sequential kernels.
 	Workers int
-	// BlockSize is the cache-blocking block for batch evaluation
-	// (compactsg.WithBlockSize). Default 0 (off).
+	// BlockSize is ignored: batch evaluation derives its cache-block
+	// width from the grid's shape. The field remains so existing
+	// configurations still compile.
 	BlockSize int
 	// MaxResident bounds how many grids stay loaded (LRU beyond it).
 	// Default 8.
@@ -209,8 +210,7 @@ func New(cfg Config) *Server {
 		tracer:   obs.New(cfg.TraceRing),
 	}
 	s.tracer.SetSampleEvery(cfg.TraceSample)
-	s.grids = NewGridSet(cfg.MaxResident,
-		compactsg.WithWorkers(cfg.Workers), compactsg.WithBlockSize(cfg.BlockSize))
+	s.grids = NewGridSet(cfg.MaxResident, compactsg.WithWorkers(cfg.Workers))
 	s.grids.OnLoad = func(_ string, mode compactsg.LoadMode, took time.Duration) {
 		s.met.loads.Inc()
 		s.met.loadModes.With(mode.String()).Inc()

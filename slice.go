@@ -22,7 +22,7 @@ type SliceSpec struct {
 
 // Slice2D decompresses a 2d slice of the compressed grid into a
 // row-major NX×NY raster (row y, column x). It uses the grid's
-// configured workers and blocking.
+// configured workers.
 func (g *Grid) Slice2D(spec SliceSpec) ([]float64, error) {
 	if !g.compressed {
 		return nil, errors.New("compactsg: Slice2D requires a compressed grid")
