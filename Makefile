@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-all bench-coldload experiments examples smoke serve-demo trace-demo proxy-demo swap-demo store-demo staticcheck stress fuzz clean
+.PHONY: all build vet test race bench bench-all experiments examples smoke serve-demo trace-demo proxy-demo swap-demo store-demo staticcheck stress fuzz clean
 
 # Per-target budget for `make fuzz` (go's -fuzztime syntax).
 FUZZTIME ?= 30s
@@ -91,15 +91,13 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzAdaptiveInvariants$$' -fuzztime $(FUZZTIME) ./internal/adaptive
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreCacheIndex$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/store
 
-# Kernel hot-path benchmarks -> BENCH_kernels.json (baseline vs current;
-# see scripts/bench_kernels.sh for BENCHTIME/--as-baseline knobs).
+# The four perfbench workloads untraced, one traced run, the
+# BenchmarkKernelEval L0 matrix and BenchmarkColdLoad, appended as JSON
+# lines to BENCH_trajectory.jsonl (see scripts/bench.sh for the
+# BENCHTIME and OUT knobs). BENCH_kernels.json and
+# BENCH_coldload.json are frozen history from before the trajectory.
 bench:
-	bash scripts/bench_kernels.sh
-
-# Cold-load routes (legacy copy vs snapshot copy vs zero-copy mmap) ->
-# BENCH_coldload.json with the headline mmap-vs-v1 speedup.
-bench-coldload:
-	bash scripts/bench_coldload.sh
+	bash scripts/bench.sh
 
 bench-all:
 	$(GO) test -bench=. -benchmem ./...

@@ -70,6 +70,29 @@ func TestEvaluateBatchNilAndProvidedOut(t *testing.T) {
 			t.Fatalf("point %d: batch %g != single %g", k, fresh[k], want)
 		}
 	}
+
+	// A short out is an error, not a panic.
+	if got, err := g.EvaluateBatch(xs, make([]float64, len(xs)-1)); err == nil {
+		t.Fatalf("short out: got %d values and no error", len(got))
+	}
+	// A long out comes back cut to the batch, with its tail untouched.
+	long := make([]float64, len(xs)+3)
+	long[len(xs)] = -1
+	got, err := g.EvaluateBatch(xs, long)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(xs) || &got[0] != &long[0] {
+		t.Fatalf("long out: got %d values (want %d, in the provided slice)", len(got), len(xs))
+	}
+	for k := range xs {
+		if got[k] != fresh[k] {
+			t.Fatalf("long out: point %d = %g, want %g", k, got[k], fresh[k])
+		}
+	}
+	if long[len(xs)] != -1 {
+		t.Error("long out: value past the batch was overwritten")
+	}
 }
 
 func TestEvaluateBatchOutOfDomainClamps(t *testing.T) {

@@ -367,7 +367,7 @@ func BenchmarkNextIterator(b *testing.B) {
 	l := make([]int32, benchDim)
 	core.First(l, benchLevel-1)
 	for k := 0; k < b.N; k++ {
-		if !core.Next(l) {
+		if core.Next(l) < 0 {
 			core.First(l, benchLevel-1)
 		}
 	}
@@ -435,29 +435,6 @@ func BenchmarkIntegrate(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkGradient — value+gradient vs value-only evaluation.
-func BenchmarkGradient(b *testing.B) {
-	g := core.NewGrid(benchDesc(b))
-	g.Fill(workload.Parabola.F)
-	hier.Iterative(g)
-	x := []float64{0.3, 0.7, 0.2, 0.55, 0.41}
-	grad := make([]float64, benchDim)
-	b.Run("value_only", func(b *testing.B) {
-		sink := 0.0
-		for k := 0; k < b.N; k++ {
-			sink += eval.Iterative(g, x)
-		}
-		_ = sink
-	})
-	b.Run("with_gradient", func(b *testing.B) {
-		sink := 0.0
-		for k := 0; k < b.N; k++ {
-			sink += eval.Gradient(g, x, grad)
-		}
-		_ = sink
-	})
-}
-
 // BenchmarkThreshold — the lossy compression pass plus sparse encoding.
 func BenchmarkThreshold(b *testing.B) {
 	base := core.NewGrid(benchDesc(b))
@@ -486,11 +463,11 @@ func BenchmarkHierarchizeBoundary(b *testing.B) {
 }
 
 // ---------------------------------------------------------------------
-// Kernel trajectory matrix. scripts/bench_kernels.sh runs these (plus the
-// Fig. 9 pair) and emits BENCH_kernels.json, the machine-readable record
-// of ns/point for the two compact-layout hot kernels across refinement
-// levels 5–8 and d ∈ {2, 5, 10}. EXPERIMENTS.md §"Kernel trajectory"
-// tracks the numbers across PRs.
+// Kernel trajectory matrix: ns/point of the two compact-layout hot
+// kernels across refinement levels 5–8 and d ∈ {2, 5, 10}. `make bench`
+// (scripts/bench.sh) appends the BenchmarkKernelEval rows, at -cpu 1
+// and 2, to BENCH_trajectory.jsonl; BENCH_kernels.json holds the rows
+// recorded before that file existed.
 
 var kernelMatrix = []struct{ dim, level int }{
 	{2, 5}, {2, 6}, {2, 7}, {2, 8},
@@ -582,7 +559,7 @@ func BenchmarkKernelHier(b *testing.B) {
 // BenchmarkKernelHierScaling — hierarchization of the l7/d5 grid at
 // 1..8 workers over the static per-level-group decomposition
 // (DESIGN.md §10). On a single-core host the w>1 rows measure the
-// pool+barrier overhead, not speedup; BENCH_kernels.json records both
+// pool+barrier overhead, not speedup; BENCH_kernels.json recorded both
 // so the trajectory is honest about the machine it ran on.
 func BenchmarkKernelHierScaling(b *testing.B) {
 	desc := benchDesc(b)

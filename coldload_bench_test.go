@@ -4,7 +4,7 @@
 // cache); V1Copy and V2Copy decode the payload into the heap;
 // StoreHit/StoreMiss route the load through the tiered snapshot store
 // (cache hit vs full remote fetch + verify + fill).
-// scripts/bench_coldload.sh turns these into BENCH_coldload.json.
+// `make bench` appends these rows to BENCH_trajectory.jsonl.
 package compactsg_test
 
 import (

@@ -193,9 +193,10 @@ func (g *Grid) Evaluate(x []float64) (float64, error) {
 }
 
 // EvaluateBatch interpolates at many points using the configured
-// workers; out may be nil. The points are evaluated in cache blocks
-// whose width the kernel derives from the grid's shape (paper
-// Sec. 4.3).
+// workers. The values go into out, which must hold at least len(xs)
+// of them, or into a new slice when out is nil; the result is always
+// len(xs) long. The points are evaluated in cache blocks whose width
+// the kernel derives from the grid's shape (paper Sec. 4.3).
 func (g *Grid) EvaluateBatch(xs [][]float64, out []float64) ([]float64, error) {
 	if !g.compressed {
 		return nil, errors.New("compactsg: EvaluateBatch requires a compressed grid")
@@ -205,7 +206,12 @@ func (g *Grid) EvaluateBatch(xs [][]float64, out []float64) ([]float64, error) {
 			return nil, fmt.Errorf("compactsg: point %d has %d coordinates, grid has %d dimensions", k, len(x), g.Dim())
 		}
 	}
-	return eval.Batch(g.g, xs, out, eval.Options{Workers: g.workers}), nil
+	if out == nil {
+		out = make([]float64, len(xs))
+	} else if len(out) < len(xs) {
+		return nil, fmt.Errorf("compactsg: out holds %d values, batch has %d points", len(out), len(xs))
+	}
+	return eval.Batch(g.g, xs, out[:len(xs)], eval.Options{Workers: g.workers}), nil
 }
 
 // Integrate returns ∫ fs over [0,1]^d of the compressed grid, computed

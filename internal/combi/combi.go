@@ -66,7 +66,7 @@ func New(dim, level int) (*Solution, error) {
 				Coeff:  coeff,
 				Grid:   g,
 			})
-			if !core.Next(l) {
+			if core.Next(l) < 0 {
 				break
 			}
 		}

@@ -7,7 +7,7 @@ import (
 )
 
 // TestCellIndexEdges pins the shared clamp-to-cell rule once for every
-// consumer (PointAt, the eval table builder, the gradient walk):
+// consumer (PointAt, the eval table builder):
 // x = 1.0 and anything beyond land in the last cell, x < 0 and NaN in
 // the first.
 func TestCellIndexEdges(t *testing.T) {

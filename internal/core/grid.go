@@ -70,7 +70,7 @@ func (g *Grid) Fill(f func(x []float64) float64) {
 				g.Data[idx] = f(x)
 				idx++
 			}
-			if !Next(l) {
+			if Next(l) < 0 {
 				break
 			}
 		}

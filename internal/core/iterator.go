@@ -64,7 +64,7 @@ func (it *SubspaceIter) Advance() bool {
 		return false
 	}
 	it.start += it.Points()
-	if Next(it.l) {
+	if Next(it.l) >= 0 {
 		return true
 	}
 	it.group++

@@ -36,14 +36,17 @@ func IsLast(l []int32) bool {
 }
 
 // Next advances l in place to its successor within the level group
-// (paper Alg. 4) and reports whether it did. It returns false when l is
-// the last vector of the group (including the d = 1 and |l|₁ = 0 cases),
-// leaving l unchanged.
+// (paper Alg. 4) and returns the highest index whose component changed.
+// It returns -1 when l is the last vector of the group (including the
+// d = 1 and |l|₁ = 0 cases), leaving l unchanged.
 //
 // The step: find the smallest t with l[t] ≠ 0 — the first t+1 components
 // then read last(t+1, l[t]) — zero it, restart the prefix at
-// first(t+1, l[t]-1), and carry one unit into component t+1.
-func Next(l []int32) bool {
+// first(t+1, l[t]-1), and carry one unit into component t+1. Only l[0],
+// l[t] and l[t+1] change, and l[t+1] always does, so the result is t+1:
+// a kernel that folds a product over the components from d-1 down to 0
+// keeps its partial folds above t+1 (DESIGN.md §8.1).
+func Next(l []int32) int {
 	d := len(l)
 	t := 0
 	for t < d && l[t] == 0 {
@@ -52,13 +55,13 @@ func Next(l []int32) bool {
 	if t >= d-1 {
 		// Either the zero vector (t == d) or only the last component is
 		// nonzero: this is last(d, n).
-		return false
+		return -1
 	}
 	m := l[t]
 	l[t] = 0
 	l[0] = m - 1 // after l[t] = 0 so that t == 0 is handled by ordering
 	l[t+1]++
-	return true
+	return t + 1
 }
 
 // SubspaceIndex ranks l within its level group under the enumeration

@@ -43,7 +43,7 @@ func TestNextEnumeratesAllVectors(t *testing.T) {
 			}
 			seen[key] = true
 			count++
-			if !Next(l) {
+			if Next(l) < 0 {
 				break
 			}
 		}
@@ -76,9 +76,46 @@ func TestNextMatchesRecursiveEnumeration(t *testing.T) {
 			if !reflect.DeepEqual(l, w) {
 				t.Fatalf("d=%d n=%d: position %d: Next gave %v, recursion gives %v", c.d, c.n, k, l, w)
 			}
-			advanced := Next(l)
+			advanced := Next(l) >= 0
 			if advanced != (k != len(want)-1) {
-				t.Fatalf("d=%d n=%d: Next at position %d returned %v", c.d, c.n, k, advanced)
+				t.Fatalf("d=%d n=%d: Next at position %d advanced=%v", c.d, c.n, k, advanced)
+			}
+		}
+	}
+}
+
+// TestNextReturnsHighestChangedIndex pins Next's result over every
+// level vector of every group for d ∈ {1..6} and levels ≤ 8, visited
+// in the order of the recursive enumeration (Alg. 3) rather than by
+// Next itself: from each vector Next must step to the recursion's
+// successor and return the highest index whose component changed, and
+// from the group's last vector it must return -1 and leave l as it was.
+func TestNextReturnsHighestChangedIndex(t *testing.T) {
+	for d := 1; d <= 6; d++ {
+		for n := 0; n < 8; n++ {
+			want := enumerateRecursive(d, n)
+			l := make([]int32, d)
+			for k, w := range want {
+				copy(l, w)
+				hi := Next(l)
+				if k == len(want)-1 {
+					if hi != -1 || !reflect.DeepEqual(l, w) {
+						t.Fatalf("d=%d n=%d: Next(last %v) = %d, l = %v; want -1, l unchanged", d, n, w, hi, l)
+					}
+					continue
+				}
+				if !reflect.DeepEqual(l, want[k+1]) {
+					t.Fatalf("d=%d n=%d: Next(%v) stepped to %v, want %v", d, n, w, l, want[k+1])
+				}
+				changed := -1
+				for j := range l {
+					if l[j] != w[j] {
+						changed = j
+					}
+				}
+				if hi != changed {
+					t.Fatalf("d=%d n=%d: Next(%v) = %d, highest changed index %d", d, n, w, hi, changed)
+				}
 			}
 		}
 	}
@@ -114,7 +151,7 @@ func TestSubspaceIndexConsecutive(t *testing.T) {
 				t.Fatalf("d=%d n=%d: SubspaceIndex(%v)=%d want %d", c.d, c.n, l, got, expect)
 			}
 			expect++
-			if !Next(l) {
+			if Next(l) < 0 {
 				break
 			}
 		}
@@ -138,7 +175,7 @@ func TestSubspaceFromIndexRoundTrip(t *testing.T) {
 					t.Fatalf("d=%d g=%d: SubspaceFromIndex(%d)=%v want %v", c.d, g, s, got, l)
 				}
 				s++
-				if !Next(l) {
+				if Next(l) < 0 {
 					break
 				}
 			}
@@ -172,24 +209,24 @@ func TestSubspaceIndexQuick(t *testing.T) {
 func TestNextDegenerateCases(t *testing.T) {
 	// d = 1: every group has exactly one subspace.
 	l := []int32{7}
-	if Next(l) {
-		t.Error("Next on d=1 must return false")
+	if Next(l) != -1 {
+		t.Error("Next on d=1 must return -1")
 	}
 	if l[0] != 7 {
-		t.Error("Next must leave l unchanged when returning false")
+		t.Error("Next must leave l unchanged when returning -1")
 	}
 	// n = 0: the zero vector is first and last.
 	z := []int32{0, 0, 0}
-	if Next(z) {
-		t.Error("Next on zero vector must return false")
+	if Next(z) != -1 {
+		t.Error("Next on zero vector must return -1")
 	}
 	// Carry out of position 0: (1,0) -> (0,1) -> stop.
 	v := []int32{1, 0}
-	if !Next(v) || !reflect.DeepEqual(v, []int32{0, 1}) {
+	if Next(v) != 1 || !reflect.DeepEqual(v, []int32{0, 1}) {
 		t.Errorf("Next((1,0)) = %v want (0,1)", v)
 	}
-	if Next(v) {
-		t.Error("Next((0,1)) must return false")
+	if Next(v) != -1 {
+		t.Error("Next((0,1)) must return -1")
 	}
 }
 

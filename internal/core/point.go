@@ -96,8 +96,8 @@ func (d *Descriptor) Contains(l, i []int32) bool {
 // unclamped cell index would be 2^l) to the last one. NaN also lands in
 // the first cell, so every kernel stays in bounds and propagates NaN
 // through the hat value instead of indexing out of range. This is the
-// single clamp-to-cell rule shared by PointAt, the evaluation table
-// builder and the gradient walk.
+// single clamp-to-cell rule shared by PointAt and the evaluation table
+// builder.
 func CellIndex(level int32, x float64) int64 {
 	cells := int64(1) << uint32(level)
 	if !(x > 0) {

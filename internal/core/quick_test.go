@@ -41,7 +41,7 @@ func TestQuickNextPreservesSumAndIncrementsRank(t *testing.T) {
 		if rank != s {
 			return false
 		}
-		if !Next(l) {
+		if Next(l) < 0 {
 			return IsLast(l)
 		}
 		return LevelSum(l) == g && desc.SubspaceIndex(l) == rank+1

@@ -250,46 +250,85 @@ func sweep(g *core.Grid, xs [][]float64, out []float64, w int) {
 }
 
 // evalBlock accumulates all subspace contributions for one block of
-// query points, subspace-major: every subspace's coefficient block is
+// query points, subspace-major: every run of subspace coefficients is
 // streamed once per block of query points, so it is read from cache
 // rather than memory for all but the first point of the block (paper
 // Sec. 4.3, last paragraph). The per-point basis tables are built once
-// up front (O(block·d·n)); the subspace sweep then touches each point
-// with pure lookups. Each point's sum is accumulated in the same order
-// as iterativeInto's, so the result is bit-identical at any width.
+// up front (O(block·d·n)); the sweep then touches each point with pure
+// lookups.
+//
+// The sweep walks each level group in diagonals: the r+1 consecutive
+// subspaces (r-j, j, l[2:]), j = 0..r, that share the suffix l[2:].
+// Each point keeps a stack of partial folds over dimensions d-1..t.
+// Next reports the highest component it changed, so between diagonals
+// only the partials from there down to dimension 2 are refolded. A
+// diagonal is then one loop per point that folds dimensions 1 and 0
+// onto the suffix partial and keeps the point's sum in a register.
+// Every product is still multiplied over dimensions d-1..0 in order,
+// and every sum added in subspace order, so the result is bit-identical
+// to iterativeInto's at any width (DESIGN.md §8.1).
 func evalBlock(g *core.Grid, xs [][]float64, out []float64, sc *blockScratch) {
 	desc := g.Desc()
 	data := g.Data
-	d := desc.Dim()
-	n := sc.n
+	d, n := sc.d, sc.n
 	l := sc.l[:d]
 	out = out[:len(xs)] // BCE: out[k] for k := range xs
 	for k, x := range xs {
 		out[k] = 0
 		sc.build(k, x)
 	}
-	cell, phi := sc.cell, sc.phi
-	phi = phi[:len(cell)] // BCE: phi[j] rides on cell[j]'s bounds check
+	cell, phi, stack := sc.cell, sc.phi, sc.stack
+	sfx := min(d, 2) // stack slot of the fold over the suffix l[2:]
 	var index2 int64
 	for grp := 0; grp < desc.Groups(); grp++ {
 		core.First(l, grp)
-		nsub := desc.Subspaces(grp)
 		sz := int64(1) << uint(grp)
-		for s := int64(0); s < nsub; s++ {
-			for k := range xs {
-				prod := 1.0
-				var index1 int64
-				base := k * d * n
-				for t := d - 1; t >= 0; t-- {
-					lt := l[t]
-					j := base + t*n + int(lt)
-					index1 = index1<<uint32(lt) + cell[j]
-					prod *= phi[j]
-				}
-				out[k] += prod * data[index1+index2]
+		for hi := d - 1; hi >= 0; hi = core.Next(l) {
+			// l = (r, 0, l[2:]) opens a diagonal; d = 1 has one
+			// subspace per group.
+			r := int(l[0])
+			m := 1
+			if d > 1 {
+				m = r + 1
 			}
-			core.Next(l)
-			index2 += sz
+			for k := range xs {
+				tab := k * d * n
+				st := stack[k*(d+1) : (k+1)*(d+1)]
+				for t := hi; t >= 2; t-- {
+					lt := l[t]
+					j := tab + t*n + int(lt)
+					st[t] = partial{st[t+1].prod * phi[j], st[t+1].index<<uint32(lt) + cell[j]}
+				}
+				c0, f0 := cell[tab:tab+n], phi[tab:tab+n]
+				c1, f1 := unitCell, unitPhi
+				if d > 1 {
+					c1, f1 = cell[tab+n:tab+2*n], phi[tab+n:tab+2*n]
+				}
+				f1 = f1[:m]
+				c1 = c1[:len(f1)] // BCE: c1[j] for j := range f1
+				// index1 = (suffix<<j + c1[j])<<l0 + c0[l0], where j+l0 = r.
+				prod, base := st[sfx].prod, index2+st[sfx].index<<uint(r)
+				sum := out[k]
+				for j, p1 := range f1 {
+					l0 := uint(r-j) & 63 // < n; the mask spares the shift's range check
+					sum += prod * p1 * f0[l0] * data[base+c1[j]<<l0+c0[l0]]
+					base += sz
+				}
+				out[k] = sum
+			}
+			index2 += int64(m) * sz
+			if d > 1 {
+				l[0], l[1] = 0, int32(r) // the diagonal's last subspace
+			}
 		}
 	}
 }
+
+// unitCell and unitPhi stand in for dimension 1's tables on a d = 1
+// grid, whose one-subspace diagonals read only level 0 there: folding
+// cell 0 and hat value 1 onto the empty fold changes neither index1
+// nor, as 1·1 = 1 exactly, the product.
+var (
+	unitCell = []int64{0}
+	unitPhi  = []float64{1}
+)

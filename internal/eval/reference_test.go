@@ -7,7 +7,6 @@ import (
 
 	"compactsg/internal/basis"
 	"compactsg/internal/core"
-	"compactsg/internal/hier"
 )
 
 // iterativeReference is the pre-table evaluation kernel: the subspace
@@ -177,25 +176,4 @@ func FuzzEvalTableIdentity(f *testing.F) {
 		}
 		checkBatch(t, g, xs, references(g, xs), Options{Workers: int(workers % 9), BlockSize: int(width)})
 	})
-}
-
-// TestGradientMatchesIterativeValue: the gradient walk shares the clamp
-// helper with the table builder, so it must select the same basis
-// function per subspace as Iterative — including for clamped
-// out-of-domain coordinates. (Its tensor product multiplies in the
-// opposite dimension order, so equality is up to rounding, not bits.)
-func TestGradientMatchesIterativeValue(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	g := core.NewGrid(core.MustDescriptor(3, 5))
-	g.Fill(parabola)
-	hier.Iterative(g)
-	grad := make([]float64, 3)
-	for _, x := range refQueries(rng, 60, 3) {
-		got := Gradient(g, x, grad)
-		want := Iterative(g, x)
-		tol := 1e-12 * math.Max(1, math.Abs(want))
-		if math.IsNaN(got) != math.IsNaN(want) || math.Abs(got-want) > tol {
-			t.Fatalf("Gradient value at %v = %v, Iterative %v", x, got, want)
-		}
-	}
 }

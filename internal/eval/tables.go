@@ -23,14 +23,24 @@ import (
 // per (t, lvl) instead of once per (subspace, t).
 
 // blockScratch carries the buffers of one block sweep — the level
-// vector plus one table set per query point of the block, point-major
-// so each point's tables stay contiguous — so single-point evaluation,
-// batch sweeps and the serve path run allocation-free at steady state.
+// vector plus one table set and one fold stack per query point of the
+// block, point-major so each point's tables stay contiguous — so
+// single-point evaluation, batch sweeps and the serve path run
+// allocation-free at steady state.
 type blockScratch struct {
-	l    []int32
-	d, n int
-	cell []int64   // cell[(k*d+t)*n + lvl]: index of the level-lvl cell containing x_t of block point k
-	phi  []float64 // phi[(k*d+t)*n + lvl]:  value of the one nonzero level-lvl hat there
+	l     []int32
+	d, n  int
+	cell  []int64   // cell[(k*d+t)*n + lvl]: index of the level-lvl cell containing x_t of block point k
+	phi   []float64 // phi[(k*d+t)*n + lvl]:  value of the one nonzero level-lvl hat there
+	stack []partial // stack[k*(d+1) + t]: block point k's fold over dimensions d-1..t; t = d is the empty fold
+}
+
+// partial is the fold of the tensor product over dimensions d-1..t of
+// the current subspace: the product of their hat values, multiplied in
+// that order, and their digits of index1.
+type partial struct {
+	prod  float64
+	index int64
 }
 
 var blockScratchPool = sync.Pool{New: func() any { return new(blockScratch) }}
@@ -50,15 +60,21 @@ func getBlockScratch(bs, d, n int) *blockScratch {
 	}
 	s.cell = s.cell[:bs*d*n]
 	s.phi = s.phi[:bs*d*n]
+	if cap(s.stack) < bs*(d+1) {
+		s.stack = make([]partial, bs*(d+1))
+	}
+	s.stack = s.stack[:bs*(d+1)]
 	return s
 }
 
 func putBlockScratch(s *blockScratch) { blockScratchPool.Put(s) }
 
 // build fills the tables of block point k for query x — O(d·n) work
-// that the subspace walk then reuses for every subspace.
+// that the subspace walk then reuses for every subspace — and seeds its
+// fold stack with the empty fold.
 func (s *blockScratch) build(k int, x []float64) {
 	d, n := s.d, s.n
+	s.stack[k*(d+1)+d] = partial{prod: 1}
 	for t, xt := range x[:d] {
 		row := s.cell[(k*d+t)*n : (k*d+t+1)*n]
 		prow := s.phi[(k*d+t)*n : (k*d+t+1)*n]

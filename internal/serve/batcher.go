@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"compactsg"
@@ -40,6 +41,7 @@ type batcher struct {
 	mu       sync.Mutex
 	closed   bool
 	inflight sync.WaitGroup // submits between accept and enqueue
+	enqueued atomic.Int64   // calls accepted into in; a test waits on it before Close
 	done     chan struct{}  // closed when run has drained and exited
 }
 
@@ -109,6 +111,7 @@ func (b *batcher) submit(ctx context.Context, x []float64) (float64, error) {
 	call := evalCall{ctx: ctx, x: x, res: res, enq: time.Now()}
 	select {
 	case b.in <- call:
+		b.enqueued.Add(1)
 		b.inflight.Done()
 	case <-ctx.Done():
 		b.inflight.Done()

@@ -425,9 +425,23 @@ func TestServerShutdownDrainsInflight(t *testing.T) {
 			results[k] = result{rec.Code, rec.Body.String()}
 		}(k)
 	}
-	// Give the handlers time to enqueue into the open batch.
-	deadline := time.Now().Add(2 * time.Second)
-	for s.met.requests.With("eval", "json").Value() < uint64(len(xs)) && time.Now().Before(deadline) {
+	// Wait until the batcher has accepted every call. The request
+	// counter is no barrier: it counts a request at handler entry,
+	// before submit enqueues it, and Close answers a call the batcher
+	// has not accepted yet with a 503.
+	accepted := func() int64 {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		if gb := s.batchers["g3"]; gb != nil {
+			return gb.b.enqueued.Load()
+		}
+		return 0
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for accepted() < int64(len(xs)) {
+		if time.Now().After(deadline) {
+			t.Fatalf("batcher accepted %d of %d calls", accepted(), len(xs))
+		}
 		time.Sleep(time.Millisecond)
 	}
 	if err := s.Close(); err != nil {
