@@ -12,6 +12,7 @@
 //
 //	POST /v1/eval        {"grid":"field","point":[0.5,0.25]}   → {"value":…}
 //	POST /v1/eval/batch  {"grid":"field","points":[[…],[…]]}   → {"values":[…]}
+//	POST /v1/eval/bin    the same batch as little-endian float64 frames
 //	GET  /v1/grids       registered grids, shapes and versions
 //	GET  /healthz        liveness probe
 //	GET  /metrics        Prometheus text exposition
@@ -92,7 +93,7 @@ func run(args []string) error {
 	maxBatch := fs.Int("max-batch", 256, "micro-batch size cap for coalesced /v1/eval")
 	batchWait := fs.Duration("batch-wait", 2*time.Millisecond, "max time an open micro-batch waits for more requests")
 	maxBody := fs.Int64("max-body", 1<<20, "max request body bytes")
-	maxPoints := fs.Int("max-points", 65536, "max points per /v1/eval/batch request")
+	maxPoints := fs.Int("max-points", 65536, "max points per /v1/eval/batch or /v1/eval/bin request")
 	timeout := fs.Duration("timeout", 10*time.Second, "per-request evaluation timeout")
 	pprofOn := fs.Bool("pprof", false, "expose runtime profiles at /debug/pprof/")
 	accessLog := fs.Bool("access-log", false, "emit one structured JSON log line per request on stderr")

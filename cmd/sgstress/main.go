@@ -444,9 +444,9 @@ func stress(cfg config) error {
 				start := time.Now()
 				var rec *httptest.ResponseRecorder
 				if useBin(rng) {
-					// Deadline expiry on the bin path abandons the pooled
-					// frame while the detached eval goroutine still owns it
-					// — the exact ownership hand-off chaos should cover.
+					// Deadline expiry on the bin path stops the kernel
+					// between cache blocks while the request still holds
+					// its lease and its pooled frame.
 					rec = postBin(rctx, serve.AppendEvalFrame(nil, name, [][]float64{randPoint(rng, cfg.dim)}))
 				} else {
 					rec = post(rctx, evalBody(name, randPoint(rng, cfg.dim)))
@@ -584,11 +584,7 @@ func stress(cfg config) error {
 }
 
 // settleMappings waits for the snapshot mapping count to drain to zero
-// and returns the count it settled at. The wait mirrors checkGoroutines'
-// tolerance: timed-out requests leave detached eval goroutines that
-// release their grid lease only after EvaluateBatch returns (the
-// use-after-release fix), so the last un-mappings can trail Close by a
-// scheduling quantum.
+// and returns the count it settled at, with checkGoroutines' tolerance.
 func settleMappings() int64 {
 	deadline := time.Now().Add(5 * time.Second)
 	for {

@@ -364,20 +364,25 @@ func storeChaos(cfg config) error {
 
 	// Poison worker: until the blob heals, every eval of the poisoned
 	// grid must fail and the corrupt bytes must never enter the cache.
-	// After healing it must come back with correct values.
-	healed := make(chan struct{})
+	// After healing it must come back with correct values. healing
+	// closes just before the good blob is swapped in, and the worker
+	// reads it only after its request returned: a fetch that raced the
+	// swap may legitimately have read the healed blob.
+	healing := make(chan struct{})
+	healStarted := func() bool {
+		select {
+		case <-healing:
+			return true
+		default:
+			return false
+		}
+	}
 	var healedServed atomic.Bool
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
 		rng := rand.New(rand.NewSource(cfg.seed + 9000))
-		healedYet := false
 		for ctx.Err() == nil {
-			select {
-			case <-healed:
-				healedYet = true
-			default:
-			}
 			rctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
 			x := make([]float64, cfg.dim)
 			for t := range x {
@@ -390,7 +395,7 @@ func storeChaos(cfg config) error {
 				return
 			}
 			if rec.Code == http.StatusOK {
-				if !healedYet {
+				if !healStarted() {
 					fail.set(fmt.Errorf("poisoned grid %s served before its blob healed", poison.name))
 					return
 				}
@@ -407,7 +412,7 @@ func storeChaos(cfg config) error {
 					return
 				}
 				healedServed.Store(true)
-			} else if !healedYet && st.Contains(poison.key) {
+			} else if st.Contains(poison.key) && !healStarted() {
 				fail.set(fmt.Errorf("corrupt remote blob for %s entered the cache", poison.name))
 				return
 			}
@@ -422,15 +427,14 @@ func storeChaos(cfg config) error {
 		defer wg.Done()
 		select {
 		case <-ctx.Done():
-			close(healed)
 			return
 		case <-time.After(cfg.duration / 2):
 		}
 		tmp := poisonBlob + ".heal"
 		if err := os.WriteFile(tmp, goodBytes, 0o644); err == nil {
+			close(healing)
 			os.Rename(tmp, poisonBlob)
 		}
-		close(healed)
 	}()
 
 	wg.Wait()

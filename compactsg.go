@@ -26,6 +26,7 @@ package compactsg
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -198,6 +199,14 @@ func (g *Grid) Evaluate(x []float64) (float64, error) {
 // len(xs) long. The points are evaluated in cache blocks whose width
 // the kernel derives from the grid's shape (paper Sec. 4.3).
 func (g *Grid) EvaluateBatch(xs [][]float64, out []float64) ([]float64, error) {
+	return g.EvaluateBatchContext(context.Background(), xs, out)
+}
+
+// EvaluateBatchContext is EvaluateBatch that gives up when ctx ends:
+// the kernel checks ctx before each cache block and returns ctx.Err()
+// at the first block boundary after it ended, leaving out partly
+// written.
+func (g *Grid) EvaluateBatchContext(ctx context.Context, xs [][]float64, out []float64) ([]float64, error) {
 	if !g.compressed {
 		return nil, errors.New("compactsg: EvaluateBatch requires a compressed grid")
 	}
@@ -211,7 +220,11 @@ func (g *Grid) EvaluateBatch(xs [][]float64, out []float64) ([]float64, error) {
 	} else if len(out) < len(xs) {
 		return nil, fmt.Errorf("compactsg: out holds %d values, batch has %d points", len(out), len(xs))
 	}
-	return eval.Batch(g.g, xs, out[:len(xs)], eval.Options{Workers: g.workers}), nil
+	out = out[:len(xs)]
+	if err := eval.BatchContext(ctx, g.g, xs, out, eval.Options{Workers: g.workers}); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // Integrate returns ∫ fs over [0,1]^d of the compressed grid, computed

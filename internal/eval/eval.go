@@ -16,7 +16,9 @@
 package eval
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 
 	"compactsg/internal/basis"
 	"compactsg/internal/core"
@@ -171,7 +173,7 @@ func Batch(g *core.Grid, xs [][]float64, out []float64, opt Options) []float64 {
 	if out == nil {
 		out = make([]float64, len(xs))
 	}
-	batchInto(g, xs, out, opt)
+	BatchContext(context.Background(), g, xs, out, opt)
 	return out
 }
 
@@ -200,53 +202,70 @@ func blockWidth(g *core.Grid) int {
 	return w
 }
 
-// batchInto is Batch with a mandatory output slice: one block-major
-// kernel for every Options value. The batch is cut into blocks of
-// min(len(xs), width) points, and whole blocks are dealt statically
-// to workers (DESIGN.md §10). A one-worker call sweeps on the calling
-// goroutine, so it spawns and allocates nothing. A multi-worker call
-// runs every share on its own goroutine and only waits: were the
-// caller to sweep a share itself, the goroutine it spawned last would
-// sit in its P's runnext slot, which other Ps steal from only after a
-// back-off. xs and out are never reassigned here, so the worker
-// closures capture them by value — a captured, reassigned parameter
-// would be heap-boxed on every call, the sequential path included.
-func batchInto(g *core.Grid, xs [][]float64, out []float64, opt Options) {
+// BatchContext is Batch with a mandatory output slice, and it stops at
+// the first cache-block boundary after ctx ends, returning ctx.Err();
+// out then holds the finished blocks' values and is otherwise unwritten.
+// It is one block-major kernel for every Options value. The batch is
+// cut into blocks of min(len(xs), width) points, and whole blocks are
+// dealt statically to workers (DESIGN.md §10). A one-worker call sweeps
+// on the calling goroutine, so it spawns and allocates nothing. A
+// multi-worker call runs every share on its own goroutine and only
+// waits: were the caller to sweep a share itself, the goroutine it
+// spawned last would sit in its P's runnext slot, which other Ps steal
+// from only after a back-off. xs and out are never reassigned here, so
+// the worker closures capture them by value — a captured, reassigned
+// parameter would be heap-boxed on every call, the sequential path
+// included.
+func BatchContext(ctx context.Context, g *core.Grid, xs [][]float64, out []float64, opt Options) error {
 	bs := opt.BlockSize
 	if bs <= 0 {
 		bs = blockWidth(g)
 	}
 	w := min(bs, len(xs))
 	if w == 0 {
-		return
+		return nil
 	}
 	workers := min(par.Resolve(opt.Workers), (len(xs)+w-1)/w)
 	if workers == 1 {
-		sweep(g, xs, out, w)
-		return
+		return sweep(ctx, g, xs, out, w)
 	}
 	var wg sync.WaitGroup
+	var stopped atomic.Bool
 	for i := 0; i < workers; i++ {
 		lo, hi := par.AlignedSplit(int64(len(xs)), workers, i, int64(w))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sweep(g, xs[lo:hi], out[lo:hi], w)
+			if sweep(ctx, g, xs[lo:hi], out[lo:hi], w) != nil {
+				stopped.Store(true)
+			}
 		}()
 	}
 	wg.Wait()
+	if stopped.Load() {
+		return ctx.Err()
+	}
+	return nil
 }
 
 // sweep evaluates xs block by block, w points per block, reusing one
-// pooled scratch.
-func sweep(g *core.Grid, xs [][]float64, out []float64, w int) {
+// pooled scratch. Before each block it checks ctx; a context that can
+// never end has a nil Done channel, so the check costs nothing there.
+func sweep(ctx context.Context, g *core.Grid, xs [][]float64, out []float64, w int) error {
+	done := ctx.Done()
 	desc := g.Desc()
 	sc := getBlockScratch(w, desc.Dim(), desc.Level())
+	defer putBlockScratch(sc)
 	for lo := 0; lo < len(xs); lo += w {
+		select {
+		case <-done:
+			return ctx.Err()
+		default:
+		}
 		hi := min(lo+w, len(xs))
 		evalBlock(g, xs[lo:hi], out[lo:hi], sc)
 	}
-	putBlockScratch(sc)
+	return nil
 }
 
 // evalBlock accumulates all subspace contributions for one block of

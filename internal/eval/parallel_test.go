@@ -1,6 +1,9 @@
 package eval
 
 import (
+	"context"
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -39,5 +42,45 @@ func TestBatchBlockedParallelBitIdentical(t *testing.T) {
 	want := references(g, xs)
 	for _, workers := range []int{0, 2, 3, 8} {
 		checkBatch(t, g, xs, want, Options{Workers: workers, BlockSize: 16})
+	}
+}
+
+// A context that has already ended stops the sweep before its first
+// block, so nothing is written; a live context, whose Done channel the
+// sweep polls between blocks, changes no bit of the result.
+func TestBatchContextStopsAtBlockBoundary(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	g := hierGrid(4, 5, parabola)
+	xs := randPoints(rng, 100, 4)
+	want := references(g, xs)
+	ended, cancel := context.WithCancel(context.Background())
+	cancel()
+	live, stop := context.WithCancel(context.Background())
+	defer stop()
+	const sentinel = -1.5
+	out := make([]float64, len(xs))
+	for _, width := range []int{1, 7, 64} {
+		for _, workers := range []int{1, 3} {
+			opt := Options{Workers: workers, BlockSize: width}
+			for k := range out {
+				out[k] = sentinel
+			}
+			if err := BatchContext(ended, g, xs, out, opt); !errors.Is(err, context.Canceled) {
+				t.Fatalf("%+v: ended context: err = %v, want context.Canceled", opt, err)
+			}
+			for k, v := range out {
+				if math.Float64bits(v) != math.Float64bits(sentinel) {
+					t.Fatalf("%+v: ended context wrote out[%d] = %v", opt, k, v)
+				}
+			}
+			if err := BatchContext(live, g, xs, out, opt); err != nil {
+				t.Fatalf("%+v: live context: %v", opt, err)
+			}
+			for k := range xs {
+				if !sameResult(out[k], want[k]) {
+					t.Fatalf("%+v: [%d] = %v, reference %v", opt, k, out[k], want[k])
+				}
+			}
+		}
 	}
 }

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"net/http"
 	"testing"
 	"time"
 
@@ -28,9 +29,10 @@ func compressedGrid(t *testing.T, dim, level int, opts ...compactsg.Option) *com
 // TestEvaluateBatchSteadyStateZeroAlloc: with a caller-provided output
 // slice, batch evaluation must not allocate at steady state — the level
 // vector and the per-query 1d basis tables come from the package pools.
-// This is the invariant that keeps the serve flush loop allocation-free.
-// It holds for one worker and for sgserve's auto worker count alike: a
-// batch that fits one cache block runs on the calling goroutine.
+// This is the invariant that keeps the eval pipeline's kernel stage
+// and the serve flush loop allocation-free. It holds for one worker and for sgserve's auto
+// worker count alike: a batch that fits one cache block runs on the
+// calling goroutine.
 func TestEvaluateBatchSteadyStateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
@@ -55,6 +57,50 @@ func TestEvaluateBatchSteadyStateZeroAlloc(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("workers=%d: EvaluateBatch allocates %v objects per call at steady state, want 0", workers, allocs)
 		}
+	}
+}
+
+// TestTracedEvalRoundTripAllocs: attaching a span must keep a full
+// handler round trip flat in allocations — the span is pooled and every
+// stage lands in it by plain field writes, so tracing adds the same few
+// allocations (trace publication, request-ID header) whether the
+// request carries 1 point or 64.
+func TestTracedEvalRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
+	}
+	// One worker, so the 64-point batch does not fan out to goroutines.
+	allocs := func(cfg Config, n int) float64 {
+		cfg.Workers = 1
+		s, _ := newTestServer(t, cfg, 3)
+		h := s.Handler()
+		pts := make([][]float64, n)
+		for k := range pts {
+			pts[k] = []float64{0.25, 0.5, 0.75}
+		}
+		frame := AppendEvalFrame(nil, "g3", pts)
+		for i := 0; i < 8; i++ { // warm the pools and load the grid
+			if rec := postBin(t, h, frame); rec.Code != http.StatusOK {
+				t.Fatalf("warmup status %d body %s", rec.Code, rec.Body)
+			}
+		}
+		return testing.AllocsPerRun(50, func() {
+			if rec := postBin(t, h, frame); rec.Code != http.StatusOK {
+				t.Fatal(rec.Code)
+			}
+		})
+	}
+	var spanCost []float64
+	for _, n := range []int{1, 64} {
+		traced, untraced := allocs(Config{}, n), allocs(Config{TraceRing: -1}, n)
+		t.Logf("%d points: %.1f allocs traced, %.1f untraced (harness included)", n, traced, untraced)
+		if traced > 120 {
+			t.Errorf("%d points: traced round trip allocates %.1f times, want <= 120", n, traced)
+		}
+		spanCost = append(spanCost, traced-untraced)
+	}
+	if spanCost[0] != spanCost[1] || spanCost[0] > 8 {
+		t.Errorf("tracing adds %.1f allocs at 1 point and %.1f at 64, want the same few", spanCost[0], spanCost[1])
 	}
 }
 

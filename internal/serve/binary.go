@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"context"
 	"encoding/binary"
 	"errors"
 	"io"
@@ -9,7 +8,6 @@ import (
 	"net/http"
 	"strconv"
 	"sync"
-	"time"
 	"unsafe"
 
 	"compactsg/internal/obs"
@@ -78,8 +76,7 @@ var hostLittleEndian = func() bool {
 // binFrame owns every buffer one binary request needs: the raw body,
 // the decoded coordinate block, the point headers, the evaluation
 // output and the response frame. Pooled so the steady-state request
-// costs no allocations; a frame whose evaluation outlived its request
-// (timeout) is simply not returned to the pool.
+// costs no allocations.
 type binFrame struct {
 	raw  []byte      // request body
 	flat []float64   // coordinates (view into raw, or decoded copy)
@@ -300,12 +297,12 @@ func readBody(fr *binFrame, r io.Reader) error {
 	}
 }
 
-// handleEvalBin is the binary twin of handleEvalBatch: same
-// validation, span stages, request timeout, metrics and
-// release-after-eval lease discipline, different wire format.
+// handleEvalBin is the binary twin of handleEvalBatch: the same
+// evaluate pipeline behind a different wire format.
 func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
 	sp := obs.FromContext(r.Context())
 	fr := binFramePool.Get().(*binFrame)
+	defer binFramePool.Put(fr)
 
 	sp.Begin(obs.StageDecode)
 	r.Body = http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
@@ -316,7 +313,6 @@ func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
 	}
 	sp.End(obs.StageDecode)
 	if err != nil {
-		binFramePool.Put(fr)
 		var maxErr *http.MaxBytesError
 		if errors.As(err, &maxErr) {
 			return httpErrorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
@@ -328,100 +324,18 @@ func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
 	// path never materializes a string from the wire bytes.
 	name, ok := s.grids.CanonicalName(req.name)
 	if !ok {
-		if len(req.name) == 0 {
-			name, err = s.resolveGrid("")
-		} else {
-			err = httpErrorf(http.StatusNotFound, "%v %q", ErrUnknownGrid, string(req.name))
+		if len(req.name) != 0 {
+			return httpErrorf(http.StatusNotFound, "%v %q", ErrUnknownGrid, string(req.name))
 		}
-		if err != nil {
-			binFramePool.Put(fr)
+		if name, err = s.resolveGrid(""); err != nil {
 			return err
 		}
 	}
-	sp.SetGrid(name)
-	sp.SetPoints(req.n)
-	if req.n > s.cfg.MaxBatchPoints {
-		binFramePool.Put(fr)
-		return httpErrorf(http.StatusRequestEntityTooLarge,
-			"batch of %d points exceeds the per-request cap of %d", req.n, s.cfg.MaxBatchPoints)
-	}
-	if req.n == 0 {
-		prepareBinResponse(fr, 0)
-		s.writeBinResponse(w, sp, finishBinResponse(fr))
-		binFramePool.Put(fr)
-		return nil
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-	lease, err := s.grids.Acquire(ctx, name)
-	if err != nil {
-		binFramePool.Put(fr)
+	if err := s.evaluate(r.Context(), name, req.pts, prepareBinResponse(fr, req.n)); err != nil {
 		return err
 	}
-	g := lease.Grid()
-	sp.Begin(obs.StageValidate)
-	if req.d != g.Dim() {
-		sp.End(obs.StageValidate)
-		lease.Release()
-		binFramePool.Put(fr)
-		return httpErrorf(http.StatusBadRequest,
-			"frame declares %d coordinates per point, grid has %d dimensions", req.d, g.Dim())
-	}
-	for k, x := range req.pts {
-		if err := validatePoint(x, req.d, k); err != nil {
-			sp.End(obs.StageValidate)
-			lease.Release()
-			binFramePool.Put(fr)
-			return err
-		}
-	}
-	sp.End(obs.StageValidate)
-
-	out := prepareBinResponse(fr, req.n)
-
-	// Same lease discipline as handleEvalBatch: the eval goroutine owns
-	// the release, so a timed-out request can never unmap a snapshot
-	// payload EvaluateBatch is still reading. The frame's buffers are
-	// owned by the goroutine until it delivers; on timeout the frame is
-	// abandoned to the GC instead of being pooled while still in use.
-	type res struct {
-		err       error
-		evalStart time.Time
-		evalDur   time.Duration
-	}
-	dispatched := time.Now()
-	ch := make(chan res, 1)
-	go func() {
-		if s.batchEvalGate != nil {
-			s.batchEvalGate(name)
-		}
-		t0 := time.Now()
-		_, err := g.EvaluateBatch(req.pts, out)
-		// Release BEFORE delivering: out aliases fr.resp (heap), not the
-		// mapping, so once EvaluateBatch returns nothing dereferences the
-		// snapshot — and the caller can never see its answered request
-		// still pinning the mapping.
-		lease.Release()
-		ch <- res{err, t0, time.Since(t0)}
-	}()
-	select {
-	case rs := <-ch:
-		sp.Add(obs.StageDispatch, rs.evalStart.Sub(dispatched))
-		sp.Add(obs.StageEval, rs.evalDur)
-		sp.SetBatchSize(req.n)
-		if rs.err != nil {
-			binFramePool.Put(fr)
-			return rs.err
-		}
-		s.met.batchSize.Observe(float64(req.n))
-		s.met.points.Add(uint64(req.n))
-		s.writeBinResponse(w, sp, finishBinResponse(fr))
-		binFramePool.Put(fr)
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
+	s.writeBinResponse(w, sp, finishBinResponse(fr))
+	return nil
 }
 
 // writeBinResponse writes a success values frame.

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"math"
 	"net/http"
@@ -273,35 +274,28 @@ func TestParseValuesFrameErrors(t *testing.T) {
 	}
 }
 
-// TestBinaryTimeoutAnswers503: the bin path inherits the batch path's
-// timeout behavior (503 + JSON error body).
+// TestBinaryTimeoutAnswers503: the bin path shares the eval pipeline's
+// timeout behavior (503 + JSON error body). The evaluation parks in the
+// eval stage until its deadline passes; the kernel then stops before
+// its first block, and the lease is released before the response is
+// written.
 func TestBinaryTimeoutAnswers503(t *testing.T) {
 	baseline := core.ActiveMappings()
 	s, _ := newTestServer(t, Config{RequestTimeout: 20 * time.Millisecond}, 2)
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	s.batchEvalGate = func(string) {
-		close(entered)
-		<-release
-	}
-	h := s.Handler()
-	done := make(chan *httptest.ResponseRecorder, 1)
-	go func() { done <- postBin(t, h, AppendEvalFrame(nil, "g2", [][]float64{{0.5, 0.5}})) }()
-	<-entered
-	rec := <-done
-	close(release)
+	s.evalGate = func(ctx context.Context, _ string) { <-ctx.Done() }
+	rec := postBin(t, s.Handler(), AppendEvalFrame(nil, "g2", [][]float64{{0.5, 0.5}}))
 	if rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("status %d body %s, want 503", rec.Code, rec.Body)
 	}
 	if ct := rec.Header().Get("Content-Type"); !strings.Contains(ct, "json") {
 		t.Errorf("error Content-Type = %q, want JSON", ct)
 	}
-	// The detached eval goroutine outlives the 503 and holds the last
-	// lease; close now (idempotent — the Cleanup close is a no-op) and
-	// wait for the unmap so later tests see a stable mapping baseline.
+	if n := s.met.points.Value(); n != 0 {
+		t.Errorf("timed-out request counted %d evaluated points, want 0", n)
+	}
 	s.Close()
-	if got := waitMappings(t, baseline); got != baseline {
-		t.Fatalf("gated eval never settled: ActiveMappings %d, want %d", got, baseline)
+	if got := core.ActiveMappings(); got != baseline {
+		t.Fatalf("after Close: ActiveMappings %d, want %d", got, baseline)
 	}
 }
 

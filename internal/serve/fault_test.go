@@ -11,7 +11,6 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -287,33 +286,18 @@ func TestServerFaultEndToEnd(t *testing.T) {
 	assertNoGoroutineLeak(t, goroutines)
 }
 
-// waitMappings polls core.ActiveMappings until it reaches want or the
-// deadline passes, returning the last observed value. Needed wherever a
-// detached eval goroutine performs the release: the unmap trails the
-// HTTP response by a scheduling quantum.
-func waitMappings(t *testing.T, want int64) int64 {
-	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		got := core.ActiveMappings()
-		if got == want || time.Now().After(deadline) {
-			return got
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-}
-
 // TestBatchTimeoutEvictionHoldsMapping is the regression test for the
 // batch-timeout use-after-release: a batch request times out while its
-// evaluation is still running, the grid is LRU-evicted mid-flight, and
-// the snapshot mapping must survive until EvaluateBatch returns.
+// evaluation still holds the grid, the grid is LRU-evicted mid-flight,
+// and the snapshot mapping must survive until the kernel has returned.
 //
-// Before the fix, handleEvalBatch released its lease in a handler
-// defer, so the timeout response dropped the evicted grid's last lease
-// and munmapped the payload under the running read — in production a
-// SIGSEGV, here observable deterministically as ActiveMappings dropping
-// while the eval goroutine is still parked inside the gate. Exercises
-// both detached-goroutine handlers: /v1/eval/batch and /v1/eval/bin.
+// A handler that released its lease when the request timed out, while
+// the evaluation still read the grid, would munmap the evicted payload
+// under the running read — in production a SIGSEGV, here observable
+// deterministically as ActiveMappings dropping while the evaluation is
+// still parked in the eval stage past its deadline. The 503 arrives
+// only after the gate releases, and by then the lease is gone.
+// Exercises both batch endpoints: /v1/eval/batch and /v1/eval/bin.
 func TestBatchTimeoutEvictionHoldsMapping(t *testing.T) {
 	if runtime.GOOS != "linux" {
 		t.Skip("mmap load path is linux-only")
@@ -361,15 +345,16 @@ func TestBatchTimeoutEvictionHoldsMapping(t *testing.T) {
 			if err := srv.AddGrid("b", pathB); err != nil {
 				t.Fatal(err)
 			}
-			// The gate parks grid a's first evaluation until released, so
-			// the request timeout and the eviction both happen while
-			// EvaluateBatch is (logically) still reading the mapping.
+			// The gate parks grid a's evaluation, lease held, until its
+			// deadline has passed and the test releases it.
 			entered := make(chan struct{})
+			expired := make(chan struct{})
 			release := make(chan struct{})
-			var once sync.Once
-			srv.batchEvalGate = func(grid string) {
+			srv.evalGate = func(ctx context.Context, grid string) {
 				if grid == "a" {
-					once.Do(func() { close(entered) })
+					close(entered)
+					<-ctx.Done()
+					close(expired)
 					<-release
 				}
 			}
@@ -383,7 +368,7 @@ func TestBatchTimeoutEvictionHoldsMapping(t *testing.T) {
 			}
 
 			// Evict grid a mid-flight (MaxResident = 1): its mapping must
-			// survive on the eval goroutine's lease.
+			// survive on the parked evaluation's lease.
 			rec := postJSON(t, h, "/v1/eval", map[string]any{"grid": "b", "point": []float64{0.5, 0.5}})
 			if rec.Code != http.StatusOK {
 				t.Fatalf("eval b: status %d body %s", rec.Code, rec.Body)
@@ -392,29 +377,34 @@ func TestBatchTimeoutEvictionHoldsMapping(t *testing.T) {
 				t.Fatalf("after eviction with eval in flight: ActiveMappings %d, want %d", got, baseline+2)
 			}
 
-			// The request times out and answers 503 — while the eval
-			// goroutine still holds the gate.
+			// THE regression assertion: the request's deadline has passed,
+			// but the evaluation still holds the evicted grid's lease, so
+			// its mapping is alive and no response has been written.
+			<-expired
+			if got := core.ActiveMappings(); got != baseline+2 {
+				t.Fatalf("timeout released the mapping under the running eval: ActiveMappings %d, want %d",
+					got, baseline+2)
+			}
+			select {
+			case brec := <-done:
+				t.Fatalf("answered %d while the evaluation still ran", brec.Code)
+			default:
+			}
+
+			// Released, the kernel stops before its first block: 503, and
+			// the lease is gone by the time the response is written.
+			close(release)
 			brec := <-done
 			if brec.Code != http.StatusServiceUnavailable {
 				t.Fatalf("timed-out batch: status %d body %s, want 503", brec.Code, brec.Body)
 			}
-			// THE regression assertion: the evicted grid's mapping is
-			// still alive, because only EvaluateBatch returning may drop
-			// the last lease. The pre-fix handler released on return,
-			// munmapping the payload under the running read.
-			if got := core.ActiveMappings(); got != baseline+2 {
-				t.Fatalf("timeout response released the mapping under the running eval: ActiveMappings %d, want %d",
-					got, baseline+2)
-			}
-
-			close(release)
-			if got := waitMappings(t, baseline+1); got != baseline+1 {
-				t.Fatalf("after eval finished: ActiveMappings %d, want %d (grid a unmapped)", got, baseline+1)
+			if got := core.ActiveMappings(); got != baseline+1 {
+				t.Fatalf("after the 503: ActiveMappings %d, want %d (grid a unmapped)", got, baseline+1)
 			}
 			if err := srv.Close(); err != nil {
 				t.Fatal(err)
 			}
-			if got := waitMappings(t, baseline); got != baseline {
+			if got := core.ActiveMappings(); got != baseline {
 				t.Fatalf("after Close: ActiveMappings %d, want %d", got, baseline)
 			}
 			assertNoGoroutineLeak(t, goroutines)

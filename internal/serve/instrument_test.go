@@ -103,7 +103,10 @@ func TestDecodeJSONStrict(t *testing.T) {
 // TestInstrumentStatusMapping drives the documented error → status
 // mapping through real httptest round-trips: 404 for unknown grids,
 // 499 for a client that cancels mid-batch, 503 for a request deadline
-// and for a closed server.
+// and for a closed server. The first 499 and deadline cases take the
+// uncoalesced pipeline and park in the eval stage until their context
+// ends, so the kernel stops before its first block; the micro-batch
+// cases park in a coalescer batch that would wait an hour.
 func TestInstrumentStatusMapping(t *testing.T) {
 	t.Run("404 unknown grid", func(t *testing.T) {
 		s, _ := newTestServer(t, Config{Coalesce: true, BatchWait: time.Millisecond}, 2)
@@ -114,6 +117,47 @@ func TestInstrumentStatusMapping(t *testing.T) {
 	})
 
 	t.Run("499 client cancel mid-batch", func(t *testing.T) {
+		s, _ := newTestServer(t, Config{}, 2)
+		entered := make(chan struct{})
+		s.evalGate = func(ctx context.Context, _ string) {
+			close(entered)
+			<-ctx.Done()
+		}
+		h := s.Handler()
+		ctx, cancel := context.WithCancel(context.Background())
+		done := make(chan *httptest.ResponseRecorder, 1)
+		go func() {
+			body, _ := json.Marshal(evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+			req := httptest.NewRequest("POST", "/v1/eval", bytes.NewReader(body)).WithContext(ctx)
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, req)
+			done <- rec
+		}()
+		// The client walks away while its request is in the eval stage.
+		<-entered
+		cancel()
+		rec := <-done
+		if rec.Code != 499 {
+			t.Fatalf("status = %d, want 499 (body %s)", rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), "context canceled") {
+			t.Errorf("body = %s", rec.Body)
+		}
+	})
+
+	t.Run("503 deadline exceeded", func(t *testing.T) {
+		s, _ := newTestServer(t, Config{RequestTimeout: 20 * time.Millisecond}, 2)
+		s.evalGate = func(ctx context.Context, _ string) { <-ctx.Done() }
+		rec := postJSON(t, s.Handler(), "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+		if rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("status = %d, want 503 (body %s)", rec.Code, rec.Body)
+		}
+		if !strings.Contains(rec.Body.String(), "deadline") {
+			t.Errorf("body = %s", rec.Body)
+		}
+	})
+
+	t.Run("499 client cancel in open micro-batch", func(t *testing.T) {
 		// An open micro-batch that would wait an hour: the request is
 		// parked in the coalescer when the client walks away.
 		s, _ := newTestServer(t, Config{Coalesce: true, MaxBatch: 1024, BatchWait: time.Hour}, 2)
@@ -127,12 +171,12 @@ func TestInstrumentStatusMapping(t *testing.T) {
 			h.ServeHTTP(rec, req)
 			done <- rec
 		}()
-		// Wait until the call is parked in the open batch, then cancel.
-		deadline := time.Now().Add(2 * time.Second)
-		for s.met.requests.With("eval", "json").Value() == 0 && time.Now().Before(deadline) {
-			time.Sleep(time.Millisecond)
-		}
-		time.Sleep(10 * time.Millisecond)
+		waitFor(t, "the call to park in the open batch", func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			gb := s.batchers["g2"]
+			return gb != nil && gb.b.enqueued.Load() == 1
+		})
 		cancel()
 		rec := <-done
 		if rec.Code != 499 {
@@ -143,7 +187,7 @@ func TestInstrumentStatusMapping(t *testing.T) {
 		}
 	})
 
-	t.Run("503 deadline exceeded", func(t *testing.T) {
+	t.Run("503 deadline in open micro-batch", func(t *testing.T) {
 		s, _ := newTestServer(t, Config{
 			Coalesce: true, MaxBatch: 1024, BatchWait: time.Hour,
 			RequestTimeout: 20 * time.Millisecond,
@@ -222,13 +266,17 @@ func TestTracesAndStageMetrics(t *testing.T) {
 			t.Errorf("eval trace missing stage %s", st.Name())
 		}
 	}
-	for _, st := range []obs.Stage{obs.StageDecode, obs.StageValidate, obs.StageDispatch, obs.StageEval, obs.StageEncode} {
+	for _, st := range []obs.Stage{obs.StageDecode, obs.StageValidate, obs.StageEval, obs.StageEncode} {
 		if _, ok := batchTr.StageS(st); !ok {
 			t.Errorf("batch trace missing stage %s", st.Name())
 		}
 	}
-	if _, ok := batchTr.StageS(obs.StageQueueWait); ok {
-		t.Error("batch trace has a queue_wait stage; /v1/eval/batch does not coalesce")
+	// /v1/eval/batch neither coalesces nor hands off: it evaluates on
+	// the request goroutine.
+	for _, st := range []obs.Stage{obs.StageQueueWait, obs.StageDispatch} {
+		if _, ok := batchTr.StageS(st); ok {
+			t.Errorf("batch trace has a %s stage; /v1/eval/batch evaluates on the request goroutine", st.Name())
+		}
 	}
 
 	rec = httptest.NewRecorder()
@@ -236,6 +284,7 @@ func TestTracesAndStageMetrics(t *testing.T) {
 	out := rec.Body.String()
 	for _, want := range []string{
 		`sgserve_stage_seconds_count{stage="queue_wait"} 1`,
+		`sgserve_stage_seconds_count{stage="validate"} 2`,
 		`sgserve_stage_seconds_count{stage="eval"} 2`,
 		`sgserve_stage_seconds_count{stage="decode"} 2`,
 		`sgserve_stage_seconds_count{stage="load"} 1`,

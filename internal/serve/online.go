@@ -349,10 +349,7 @@ func (s *Server) handleObserve(r *http.Request) (any, error) {
 	}
 	sp.SetGrid(name)
 	var req observeRequest
-	sp.Begin(obs.StageDecode)
-	err := s.decodeJSON(r, &req)
-	sp.End(obs.StageDecode)
-	if err != nil {
+	if err := s.decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Points) == 0 {

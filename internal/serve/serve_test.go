@@ -12,10 +12,12 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"compactsg"
+	"compactsg/internal/core"
 	"compactsg/internal/workload"
 )
 
@@ -249,6 +251,65 @@ func postJSON(t *testing.T, h http.Handler, url string, body any) *httptest.Resp
 	return rec
 }
 
+// evalOne evaluates x through one of the three eval endpoints
+// ("/v1/eval", "/v1/eval/batch" or "/v1/eval/bin") and returns the
+// response with the decoded value (0 unless the status is 200).
+func evalOne(t *testing.T, h http.Handler, endpoint, grid string, x []float64) (*httptest.ResponseRecorder, float64) {
+	t.Helper()
+	var rec *httptest.ResponseRecorder
+	switch endpoint {
+	case "/v1/eval":
+		rec = postJSON(t, h, endpoint, evalRequest{Grid: grid, Point: x})
+	case "/v1/eval/batch":
+		rec = postJSON(t, h, endpoint, batchRequest{Grid: grid, Points: [][]float64{x}})
+	default:
+		rec = postBin(t, h, AppendEvalFrame(nil, grid, [][]float64{x}))
+	}
+	if rec.Code != http.StatusOK {
+		return rec, 0
+	}
+	switch endpoint {
+	case "/v1/eval":
+		var er evalResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+			t.Errorf("%s: %v", endpoint, err)
+		}
+		return rec, er.Value
+	case "/v1/eval/batch":
+		var br batchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &br); err != nil || len(br.Values) != 1 {
+			t.Errorf("%s: %d values, err %v", endpoint, len(br.Values), err)
+			return rec, 0
+		}
+		return rec, br.Values[0]
+	}
+	vals, err := ParseValuesFrame(rec.Body.Bytes())
+	if err != nil || len(vals) != 1 {
+		t.Errorf("%s: %d values, err %v", endpoint, len(vals), err)
+		return rec, 0
+	}
+	return rec, vals[0]
+}
+
+var evalEndpoints = []string{"/v1/eval", "/v1/eval/batch", "/v1/eval/bin"}
+
+// waitFor polls cond until it holds, failing the test after 10 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServerEvalAndBatch: every eval endpoint answers with the
+// reference grid's values, bit for bit — a single point is a one-point
+// batch (or rides a micro-batch), which the batch kernel computes
+// exactly as Evaluate does. It runs once per setting of
+// Config.Coalesce; both settings must give the same answers.
 func TestServerEvalAndBatch(t *testing.T) {
 	for _, coalesce := range []bool{false, true} {
 		t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
@@ -257,21 +318,19 @@ func TestServerEvalAndBatch(t *testing.T) {
 			ref := refs["g3"]
 
 			x := []float64{0.25, 0.5, 0.75}
-			rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g3", Point: x})
-			if rec.Code != 200 {
-				t.Fatalf("eval status = %d, body %s", rec.Code, rec.Body)
-			}
-			var er evalResponse
-			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
-				t.Fatal(err)
-			}
 			want, _ := ref.Evaluate(x)
-			if math.Abs(er.Value-want) > 1e-12 {
-				t.Fatalf("value = %g, want %g", er.Value, want)
+			for _, ep := range evalEndpoints {
+				rec, got := evalOne(t, h, ep, "g3", x)
+				if rec.Code != 200 {
+					t.Fatalf("%s status = %d, body %s", ep, rec.Code, rec.Body)
+				}
+				if math.Float64bits(got) != math.Float64bits(want) {
+					t.Fatalf("%s value = %v, want %v", ep, got, want)
+				}
 			}
 
 			// Grid name may be omitted with a single registered grid.
-			rec = postJSON(t, h, "/v1/eval", evalRequest{Point: x})
+			rec := postJSON(t, h, "/v1/eval", evalRequest{Point: x})
 			if rec.Code != 200 {
 				t.Fatalf("eval without grid name status = %d, body %s", rec.Code, rec.Body)
 			}
@@ -287,8 +346,8 @@ func TestServerEvalAndBatch(t *testing.T) {
 			}
 			wantVals, _ := ref.EvaluateBatch(xs, nil)
 			for k := range xs {
-				if math.Abs(br.Values[k]-wantVals[k]) > 1e-12 {
-					t.Fatalf("batch[%d] = %g, want %g", k, br.Values[k], wantVals[k])
+				if math.Float64bits(br.Values[k]) != math.Float64bits(wantVals[k]) {
+					t.Fatalf("batch[%d] = %v, want %v", k, br.Values[k], wantVals[k])
 				}
 			}
 
@@ -400,11 +459,101 @@ func TestServerGridsHealthzMetrics(t *testing.T) {
 	}
 }
 
-// TestServerShutdownDrainsInflight submits requests that are still
+// TestServerShutdownDrainsInflight: requests already in the eval stage
+// when Close begins complete with their values, and Close waits for
+// them before it purges the registry. Eight requests across the three
+// eval endpoints park in the eval stage (evalGate) while Close starts.
+func TestServerShutdownDrainsInflight(t *testing.T) {
+	baseline := core.ActiveMappings()
+	s, refs := newTestServer(t, Config{}, 3)
+	h := s.Handler()
+	ref := refs["g3"]
+
+	xs := workload.Points(11, 8, 3)
+	// The gate parks the first len(xs) evaluations and lets any later
+	// one through, so a request wrongly admitted after Close answers
+	// instead of hanging the test. entered is sized to the parked ones.
+	var entries atomic.Int64
+	entered := make(chan struct{}, len(xs))
+	release := make(chan struct{})
+	var releaseOnce sync.Once
+	open := func() { releaseOnce.Do(func() { close(release) }) }
+	t.Cleanup(open) // before newTestServer's Close, should the test fail early
+	s.evalGate = func(context.Context, string) {
+		if entries.Add(1) <= int64(len(xs)) {
+			entered <- struct{}{}
+			<-release
+		}
+	}
+	var wg sync.WaitGroup
+	type result struct {
+		code  int
+		body  string
+		value float64
+	}
+	results := make([]result, len(xs))
+	for k := range xs {
+		wg.Add(1)
+		go func(k int) {
+			defer wg.Done()
+			rec, v := evalOne(t, h, evalEndpoints[k%len(evalEndpoints)], "g3", xs[k])
+			results[k] = result{rec.Code, rec.Body.String(), v}
+		}(k)
+	}
+	for range xs {
+		<-entered
+	}
+
+	closed := make(chan struct{})
+	go func() {
+		s.Close()
+		close(closed)
+	}()
+	waitFor(t, "Close to begin", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.closed
+	})
+	// Close has begun: new requests are refused, parked ones still run.
+	for _, ep := range evalEndpoints {
+		if rec, _ := evalOne(t, h, ep, "g3", xs[0]); rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s during shutdown: status %d, want 503", ep, rec.Code)
+		}
+	}
+	select {
+	case <-closed:
+		t.Fatal("Close returned while requests were parked in the eval stage")
+	default:
+	}
+	open()
+	wg.Wait()
+	<-closed
+
+	for k, r := range results {
+		if r.code != 200 {
+			t.Fatalf("request %d: status %d body %s (in-flight request dropped on shutdown)", k, r.code, r.body)
+		}
+		want, _ := ref.Evaluate(xs[k])
+		if math.Float64bits(r.value) != math.Float64bits(want) {
+			t.Fatalf("request %d: value %v, want %v", k, r.value, want)
+		}
+	}
+	for _, ep := range evalEndpoints {
+		if rec, _ := evalOne(t, h, ep, "g3", xs[0]); rec.Code != http.StatusServiceUnavailable {
+			t.Fatalf("%s after shutdown: status %d, want 503", ep, rec.Code)
+		}
+	}
+	if got := core.ActiveMappings(); got != baseline {
+		t.Fatalf("after Close: ActiveMappings %d, want %d", got, baseline)
+	}
+}
+
+// TestServerShutdownDrainsCoalesced submits requests that are still
 // waiting in an open micro-batch, closes the server, and expects every
 // caller to receive its value (not an error): Close flushes pending
-// batches instead of dropping them.
-func TestServerShutdownDrainsInflight(t *testing.T) {
+// batches instead of dropping them, then unmaps every grid.
+func TestServerShutdownDrainsCoalesced(t *testing.T) {
+	baseline := core.ActiveMappings()
 	// Huge batch + long wait: requests park in the coalescer until close.
 	s, refs := newTestServer(t, Config{Coalesce: true, MaxBatch: 1024, BatchWait: time.Hour}, 3)
 	h := s.Handler()
@@ -412,61 +561,73 @@ func TestServerShutdownDrainsInflight(t *testing.T) {
 
 	xs := workload.Points(11, 8, 3)
 	var wg sync.WaitGroup
-	type result struct {
-		code int
-		body string
-	}
-	results := make([]result, len(xs))
+	results := make([]*httptest.ResponseRecorder, len(xs))
+	values := make([]float64, len(xs))
 	for k := range xs {
 		wg.Add(1)
 		go func(k int) {
 			defer wg.Done()
-			rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g3", Point: xs[k]})
-			results[k] = result{rec.Code, rec.Body.String()}
+			results[k], values[k] = evalOne(t, h, "/v1/eval", "g3", xs[k])
 		}(k)
 	}
 	// Wait until the batcher has accepted every call. The request
 	// counter is no barrier: it counts a request at handler entry,
 	// before submit enqueues it, and Close answers a call the batcher
 	// has not accepted yet with a 503.
-	accepted := func() int64 {
+	waitFor(t, "the batcher to accept every call", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		if gb := s.batchers["g3"]; gb != nil {
-			return gb.b.enqueued.Load()
-		}
-		return 0
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for accepted() < int64(len(xs)) {
-		if time.Now().After(deadline) {
-			t.Fatalf("batcher accepted %d of %d calls", accepted(), len(xs))
-		}
-		time.Sleep(time.Millisecond)
-	}
+		gb := s.batchers["g3"]
+		return gb != nil && gb.b.enqueued.Load() == int64(len(xs))
+	})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 	wg.Wait()
 
-	for k, r := range results {
-		if r.code != 200 {
-			t.Fatalf("request %d: status %d body %s (in-flight request dropped on shutdown)", k, r.code, r.body)
-		}
-		var er evalResponse
-		if err := json.Unmarshal([]byte(r.body), &er); err != nil {
-			t.Fatal(err)
+	for k, rec := range results {
+		if rec.Code != 200 {
+			t.Fatalf("request %d: status %d body %s (in-flight request dropped on shutdown)", k, rec.Code, rec.Body)
 		}
 		want, _ := ref.Evaluate(xs[k])
-		if math.Abs(er.Value-want) > 1e-12 {
-			t.Fatalf("request %d: value %g, want %g", k, er.Value, want)
+		if math.Float64bits(values[k]) != math.Float64bits(want) {
+			t.Fatalf("request %d: value %v, want %v", k, values[k], want)
 		}
 	}
 
 	// After Close, new eval requests are refused with 503.
-	rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g3", Point: xs[0]})
-	if rec.Code != http.StatusServiceUnavailable {
+	if rec, _ := evalOne(t, h, "/v1/eval", "g3", xs[0]); rec.Code != http.StatusServiceUnavailable {
 		t.Fatalf("post-shutdown status = %d, want 503", rec.Code)
+	}
+	if got := core.ActiveMappings(); got != baseline {
+		t.Fatalf("after Close: ActiveMappings %d, want %d", got, baseline)
+	}
+}
+
+// TestServerRefusesAfterClose: after Close every eval endpoint answers
+// 503 "shutting down" without reloading the purged grid, so no
+// snapshot mapping outlives the server. Coalesced or not.
+func TestServerRefusesAfterClose(t *testing.T) {
+	for _, coalesce := range []bool{false, true} {
+		t.Run(fmt.Sprintf("coalesce=%v", coalesce), func(t *testing.T) {
+			baseline := core.ActiveMappings()
+			s, _ := newTestServer(t, Config{Coalesce: coalesce, BatchWait: time.Millisecond}, 2)
+			if err := s.Preload(); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatal(err)
+			}
+			for _, ep := range evalEndpoints {
+				rec, _ := evalOne(t, s.Handler(), ep, "g2", []float64{0.5, 0.5})
+				if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "shutting down") {
+					t.Errorf("%s after Close: status %d body %s, want 503 shutting down", ep, rec.Code, rec.Body)
+				}
+			}
+			if got := core.ActiveMappings(); got != baseline {
+				t.Fatalf("after Close: ActiveMappings %d, want %d", got, baseline)
+			}
+		})
 	}
 }
 

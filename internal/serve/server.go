@@ -37,9 +37,9 @@ type Config struct {
 	// Default 8.
 	MaxResident int
 	// Coalesce enables micro-batching of /v1/eval requests. When
-	// false every request evaluates immediately on its own handler
-	// goroutine (the naive one-point-per-request path, kept for
-	// comparison with cmd/sgload).
+	// false every /v1/eval request evaluates immediately as a one-point
+	// batch on its own handler goroutine, through the same pipeline as
+	// /v1/eval/batch and /v1/eval/bin.
 	Coalesce bool
 	// MaxBatch is the micro-batch size cap. Default 256.
 	MaxBatch int
@@ -49,10 +49,10 @@ type Config struct {
 	// MaxBodyBytes caps request body size. Default 1 MiB.
 	MaxBodyBytes int64
 	// MaxBatchPoints caps the number of points in one /v1/eval/batch
-	// request. Default 65536.
+	// or /v1/eval/bin request. Default 65536.
 	MaxBatchPoints int
-	// RequestTimeout bounds how long a request may wait for its
-	// evaluation. Default 10s.
+	// RequestTimeout bounds a request's grid lease and evaluation; the
+	// kernel checks it between cache blocks. Default 10s.
 	RequestTimeout time.Duration
 	// TraceRing is how many recent request traces are retained for
 	// GET /debug/traces. 0 takes the default (256); negative disables
@@ -128,7 +128,14 @@ func (c *Config) fill() {
 // Server is the HTTP evaluation service: routes, grid registry,
 // per-grid coalescers and metrics. Create with New, mount Handler
 // into an http.Server, and call Close on shutdown (after
-// http.Server.Shutdown) to drain in-flight micro-batches.
+// http.Server.Shutdown) to drain in-flight requests.
+//
+// /v1/eval/batch, /v1/eval/bin and uncoalesced /v1/eval run one
+// synchronous pipeline on their request goroutine (evaluate): admit,
+// lease the grid, validate, run the kernel, release the lease. The
+// lease is released by a plain defer once the kernel has returned, so
+// a grid evicted mid-request stays mapped exactly as long as the
+// request reads it.
 //
 // Batcher lifecycle: each coalescing batcher owns a registry Lease on
 // the exact grid instance it evaluates against. When the LRU evicts
@@ -147,13 +154,14 @@ type Server struct {
 	mu       sync.Mutex
 	batchers map[string]*gridBatcher
 	closed   bool
+	inflight sync.WaitGroup // evaluations admitted before Close
 	drains   sync.WaitGroup // background batcher drains after eviction
 
-	// batchEvalGate, when non-nil, runs on the detached eval goroutine
-	// right before EvaluateBatch. It exists so the use-after-release
-	// regression tests can hold an eval mid-flight while the request
-	// times out and the grid is evicted. Set before serving traffic.
-	batchEvalGate func(grid string)
+	// evalGate, when non-nil, runs right before the kernel, while the
+	// request holds its lease and counts as in flight. Tests use it to
+	// park an evaluation across a timeout, an eviction or Close. Set
+	// before serving traffic.
+	evalGate func(ctx context.Context, grid string)
 
 	met serverMetrics
 }
@@ -416,22 +424,17 @@ func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 // Handler returns the routing handler for an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
 
-// Close drains and stops every per-grid coalescer, waits for the
-// background drains of already-evicted batchers, then purges the grid
-// registry so no grid (and no snapshot file mapping) outlives the
-// server. Call it after http.Server.Shutdown so enqueued requests
-// still get their values; requests arriving later fail with 503.
+// Close refuses new evaluations with ErrClosed (503), stops the online
+// refiner, drains and stops every per-grid coalescer, waits for the
+// evaluations already admitted to answer and for the background drains
+// of already-evicted batchers, then purges the grid registry so no grid
+// (and no snapshot file mapping) outlives the server. Call it after
+// http.Server.Shutdown so admitted requests still get their values.
+// Safe to call more than once.
 func (s *Server) Close() error {
 	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		s.drains.Wait()
-		return nil
-	}
+	first := !s.closed
 	s.closed = true
-	if s.online != nil {
-		defer s.online.close()
-	}
 	bs := make([]*gridBatcher, 0, len(s.batchers))
 	for _, gb := range s.batchers {
 		bs = append(bs, gb)
@@ -439,12 +442,28 @@ func (s *Server) Close() error {
 	s.batchers = make(map[string]*gridBatcher)
 	s.met.batchersNow.Set(0)
 	s.mu.Unlock()
+	if first && s.online != nil {
+		s.online.close()
+	}
 	for _, gb := range bs {
 		gb.b.close()
 		gb.lease.Release()
 	}
+	s.inflight.Wait()
 	s.drains.Wait()
 	s.grids.Purge()
+	return nil
+}
+
+// admit counts an evaluation as in flight, or returns ErrClosed once
+// Close has begun. Every admitted evaluation must call s.inflight.Done.
+func (s *Server) admit() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return ErrClosed
+	}
+	s.inflight.Add(1)
 	return nil
 }
 
@@ -731,12 +750,15 @@ func (s *Server) countWriteError(protocol string, status int, err error) {
 		slog.String("error", err.Error()))
 }
 
-// decodeJSON reads the body with the configured size cap. The body
-// must hold exactly one JSON value: an empty body and trailing data
-// after the value (`{"point":[0.5]}junk`) are both 400s — a decoder
-// left to its own devices stops at the end of the first value and
-// would silently accept the garbage.
+// decodeJSON reads the body with the configured size cap, timed as the
+// request's decode stage. The body must hold exactly one JSON value: an
+// empty body and trailing data after the value (`{"point":[0.5]}junk`)
+// are both 400s — a decoder left to its own devices stops at the end of
+// the first value and would silently accept the garbage.
 func (s *Server) decodeJSON(r *http.Request, dst any) error {
+	sp := obs.FromContext(r.Context())
+	sp.Begin(obs.StageDecode)
+	defer sp.End(obs.StageDecode)
 	r.Body = http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
 	dec := json.NewDecoder(r.Body)
 	dec.DisallowUnknownFields()
@@ -787,162 +809,130 @@ func (s *Server) handleGrids(_ *http.Request) (any, error) {
 }
 
 func (s *Server) handleEval(r *http.Request) (any, error) {
-	sp := obs.FromContext(r.Context())
 	var req evalRequest
-	sp.Begin(obs.StageDecode)
-	err := s.decodeJSON(r, &req)
-	sp.End(obs.StageDecode)
-	if err != nil {
+	if err := s.decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
 	name, err := s.resolveGrid(req.Grid)
 	if err != nil {
 		return nil, err
 	}
-	sp.SetGrid(name)
-	sp.SetPoints(1)
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
-	defer cancel()
-
-	if !s.cfg.Coalesce {
-		lease, err := s.grids.Acquire(ctx, name)
+	if s.cfg.Coalesce {
+		v, err := s.evalCoalesced(r.Context(), name, req.Point)
 		if err != nil {
 			return nil, err
 		}
-		// A defer is safe here (unlike handleEvalBatch/handleEvalBin):
-		// Evaluate runs synchronously on this goroutine, so the lease
-		// cannot be released while the read is still in flight.
-		defer lease.Release()
-		g := lease.Grid()
-		sp.Begin(obs.StageValidate)
-		err = validatePoint(req.Point, g.Dim(), 0)
-		sp.End(obs.StageValidate)
-		if err != nil {
-			return nil, err
-		}
-		sp.Begin(obs.StageEval)
-		v, err := g.Evaluate(req.Point)
-		sp.End(obs.StageEval)
-		if err != nil {
-			return nil, err
-		}
-		sp.SetBatchSize(1)
-		s.met.batchSize.Observe(1)
-		s.met.points.Inc()
 		return evalResponse{Value: v}, nil
 	}
+	out := make([]float64, 1)
+	if err := s.evaluate(r.Context(), name, [][]float64{req.Point}, out); err != nil {
+		return nil, err
+	}
+	return evalResponse{Value: out[0]}, nil
+}
 
-	// An ErrClosed from submit normally means "this batcher was retired
-	// because its grid instance was evicted between lookup and enqueue";
-	// retry against a freshly attached batcher (bounded by ctx). Only a
-	// server-wide Close surfaces ErrClosed to the client. Queue wait,
-	// dispatch, eval and batch size are recorded on the span by submit,
-	// from the timings the flush loop hands back.
+// evalCoalesced evaluates one point through the grid's micro-batch
+// coalescer. An ErrClosed from submit normally means "this batcher was
+// retired because its grid instance was evicted between lookup and
+// enqueue"; it retries against a freshly attached batcher (bounded by
+// ctx). Only a server-wide Close surfaces ErrClosed to the client.
+// Queue wait, dispatch, eval and batch size are recorded on the span
+// by submit, from the timings the flush loop hands back.
+func (s *Server) evalCoalesced(ctx context.Context, name string, x []float64) (float64, error) {
+	sp := obs.FromContext(ctx)
+	sp.SetGrid(name)
+	sp.SetPoints(1)
+	if err := s.admit(); err != nil {
+		return 0, err
+	}
+	defer s.inflight.Done()
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
+	defer cancel()
 	for {
 		b, err := s.batcherFor(ctx, name)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
 		sp.Begin(obs.StageValidate)
-		err = validatePoint(req.Point, b.grid.Dim(), 0)
+		err = validatePoint(x, b.grid.Dim(), 0)
 		sp.End(obs.StageValidate)
 		if err != nil {
-			return nil, err
+			return 0, err
 		}
-		v, err := b.submit(ctx, req.Point)
+		v, err := b.submit(ctx, x)
 		if errors.Is(err, ErrClosed) && !s.isClosed() {
 			continue
 		}
-		if err != nil {
-			return nil, err
-		}
-		return evalResponse{Value: v}, nil
+		return v, err
 	}
 }
 
 func (s *Server) handleEvalBatch(r *http.Request) (any, error) {
-	sp := obs.FromContext(r.Context())
 	var req batchRequest
-	sp.Begin(obs.StageDecode)
-	err := s.decodeJSON(r, &req)
-	sp.End(obs.StageDecode)
-	if err != nil {
+	if err := s.decodeJSON(r, &req); err != nil {
 		return nil, err
 	}
 	name, err := s.resolveGrid(req.Grid)
 	if err != nil {
 		return nil, err
 	}
+	out := make([]float64, len(req.Points))
+	if err := s.evaluate(r.Context(), name, req.Points, out); err != nil {
+		return nil, err
+	}
+	return batchResponse{Values: out}, nil
+}
+
+// evaluate is the pipeline behind /v1/eval/batch, /v1/eval/bin and
+// uncoalesced /v1/eval, which differ only in how they decode pts and
+// encode out. It admits the request (ErrClosed once Close has begun),
+// caps its size, leases the grid, validates the points and runs the
+// kernel into out, all on the calling goroutine. The request timeout
+// stops the kernel at its next cache-block boundary, and the lease is
+// released only after the kernel has returned.
+func (s *Server) evaluate(ctx context.Context, name string, pts [][]float64, out []float64) error {
+	sp := obs.FromContext(ctx)
 	sp.SetGrid(name)
-	sp.SetPoints(len(req.Points))
-	if len(req.Points) == 0 {
-		return batchResponse{Values: []float64{}}, nil
+	sp.SetPoints(len(pts))
+	if err := s.admit(); err != nil {
+		return err
 	}
-	if len(req.Points) > s.cfg.MaxBatchPoints {
-		return nil, httpErrorf(http.StatusRequestEntityTooLarge,
-			"batch of %d points exceeds the per-request cap of %d", len(req.Points), s.cfg.MaxBatchPoints)
+	defer s.inflight.Done()
+
+	if len(pts) > s.cfg.MaxBatchPoints {
+		return httpErrorf(http.StatusRequestEntityTooLarge,
+			"batch of %d points exceeds the per-request cap of %d", len(pts), s.cfg.MaxBatchPoints)
 	}
-	ctx, cancel := context.WithTimeout(r.Context(), s.cfg.RequestTimeout)
+	if len(pts) == 0 {
+		return nil
+	}
+	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
 	defer cancel()
 	lease, err := s.grids.Acquire(ctx, name)
 	if err != nil {
-		return nil, err
+		return err
 	}
+	defer lease.Release()
 	g := lease.Grid()
 	sp.Begin(obs.StageValidate)
-	for k, x := range req.Points {
+	for k, x := range pts {
 		if err := validatePoint(x, g.Dim(), k); err != nil {
 			sp.End(obs.StageValidate)
-			lease.Release()
-			return nil, err
+			return err
 		}
 	}
 	sp.End(obs.StageValidate)
-
-	// Evaluation timings come back over the channel rather than being
-	// written into sp by the worker goroutine: on ctx expiry the
-	// handler returns (and recycles the span) while the evaluation may
-	// still be running.
-	type res struct {
-		vals      []float64
-		err       error
-		evalStart time.Time
-		evalDur   time.Duration
+	if s.evalGate != nil {
+		s.evalGate(ctx, name)
 	}
-	dispatched := time.Now()
-	ch := make(chan res, 1)
-	// The lease is released by the eval goroutine, NOT by a handler
-	// defer: when the request times out the handler returns while
-	// EvaluateBatch is still reading the grid, and if the grid was
-	// LRU-evicted mid-flight, releasing the last lease munmaps its
-	// snapshot payload under the running read (SIGSEGV). Holding the
-	// lease until EvaluateBatch returns keeps the mapping alive exactly
-	// as long as anything dereferences it.
-	go func() {
-		if s.batchEvalGate != nil {
-			s.batchEvalGate(name)
-		}
-		t0 := time.Now()
-		vals, err := g.EvaluateBatch(req.Points, nil)
-		// Release BEFORE delivering the result: vals no longer reference
-		// the mapping, and releasing first means a caller that saw the
-		// response can never observe the mapping still pinned by its own
-		// already-answered request.
-		lease.Release()
-		ch <- res{vals, err, t0, time.Since(t0)}
-	}()
-	select {
-	case out := <-ch:
-		sp.Add(obs.StageDispatch, out.evalStart.Sub(dispatched))
-		sp.Add(obs.StageEval, out.evalDur)
-		sp.SetBatchSize(len(req.Points))
-		if out.err != nil {
-			return nil, out.err
-		}
-		s.met.batchSize.Observe(float64(len(req.Points)))
-		s.met.points.Add(uint64(len(req.Points)))
-		return batchResponse{Values: out.vals}, nil
-	case <-ctx.Done():
-		return nil, ctx.Err()
+	sp.Begin(obs.StageEval)
+	_, err = g.EvaluateBatchContext(ctx, pts, out)
+	sp.End(obs.StageEval)
+	if err != nil {
+		return err
 	}
+	sp.SetBatchSize(len(pts))
+	s.met.batchSize.Observe(float64(len(pts)))
+	s.met.points.Add(uint64(len(pts)))
+	return nil
 }

@@ -99,7 +99,9 @@ func TestStoreBackedColdLoad(t *testing.T) {
 	}
 
 	s.Purge()
-	waitMappings(t, baseline)
+	if got := core.ActiveMappings(); got != baseline {
+		t.Fatalf("after Purge: ActiveMappings %d, want %d", got, baseline)
+	}
 }
 
 func TestSwapPublishesToStore(t *testing.T) {
