@@ -177,7 +177,7 @@ func TestServerEvictionUnderLoad(t *testing.T) {
 				d := dims[(w+k)%grids]
 				name := fmt.Sprintf("g%d", d)
 				x := workload.Points(int64(w*100000+k), 1, d)[0]
-				rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: name, Point: x})
+				rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: name, Point: x})
 				if rec.Code != http.StatusOK {
 					fail(fmt.Errorf("worker %d req %d (%s): status %d body %s", w, k, name, rec.Code, rec.Body))
 					return

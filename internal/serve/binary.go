@@ -3,10 +3,8 @@ package serve
 import (
 	"encoding/binary"
 	"errors"
-	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"sync"
 	"unsafe"
 
@@ -210,7 +208,11 @@ func finishBinResponse(fr *binFrame) []byte {
 
 // AppendEvalFrame appends a /v1/eval/bin request frame for pts to dst
 // and returns the extended slice. The client half of decodeBinFrame,
-// shared by sgload, sgstress and the tests.
+// shared by sgload, sgstress, sgproxy and the tests. Every point must
+// have len(pts[0]) coordinates: the frame takes d from pts[0] and
+// appends every coordinate as one n·d block, so a ragged batch whose
+// coordinate total happens to be n·d would be re-cut into points the
+// caller never sent.
 func AppendEvalFrame(dst []byte, grid string, pts [][]float64) []byte {
 	var lenBuf [8]byte
 	binary.LittleEndian.PutUint16(lenBuf[:2], uint16(len(grid)))
@@ -271,32 +273,6 @@ func ParseValuesFrame(data []byte) ([]float64, error) {
 	return out, nil
 }
 
-// readBody drains r into fr.raw without per-request allocations at
-// steady state (io.ReadAll would re-grow a fresh buffer every call).
-func readBody(fr *binFrame, r io.Reader) error {
-	buf := fr.raw[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 4096)
-	}
-	for {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), 2*cap(buf))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			fr.raw = buf
-			return nil
-		}
-		if err != nil {
-			fr.raw = buf
-			return err
-		}
-	}
-}
-
 // handleEvalBin is the binary twin of handleEvalBatch: the same
 // evaluate pipeline behind a different wire format.
 func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
@@ -305,19 +281,16 @@ func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
 	defer binFramePool.Put(fr)
 
 	sp.Begin(obs.StageDecode)
-	r.Body = http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
-	err := readBody(fr, r.Body)
 	var req binRequest
-	if err == nil {
-		req, err = decodeBinFrame(fr, fr.raw)
+	var err error
+	if fr.raw, err = ReadBody(fr.raw, r.Body, s.cfg.MaxBodyBytes); err == nil {
+		if req, err = decodeBinFrame(fr, fr.raw); err != nil {
+			err = Errorf(http.StatusBadRequest, "invalid binary frame: %v", err)
+		}
 	}
 	sp.End(obs.StageDecode)
 	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return httpErrorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-		}
-		return httpErrorf(http.StatusBadRequest, "invalid binary frame: %v", err)
+		return err
 	}
 
 	// Resolve the name against the registry's interned copy so the hot
@@ -325,7 +298,7 @@ func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
 	name, ok := s.grids.CanonicalName(req.name)
 	if !ok {
 		if len(req.name) != 0 {
-			return httpErrorf(http.StatusNotFound, "%v %q", ErrUnknownGrid, string(req.name))
+			return Errorf(http.StatusNotFound, "%v %q", ErrUnknownGrid, string(req.name))
 		}
 		if name, err = s.resolveGrid(""); err != nil {
 			return err
@@ -334,19 +307,9 @@ func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
 	if err := s.evaluate(r.Context(), name, req.pts, prepareBinResponse(fr, req.n)); err != nil {
 		return err
 	}
-	s.writeBinResponse(w, sp, finishBinResponse(fr))
-	return nil
-}
-
-// writeBinResponse writes a success values frame.
-func (s *Server) writeBinResponse(w http.ResponseWriter, sp *obs.Span, frame []byte) {
 	sp.SetStatus(http.StatusOK)
 	sp.Begin(obs.StageEncode)
-	w.Header().Set("Content-Type", BinContentType)
-	w.Header().Set("Content-Length", strconv.Itoa(len(frame)))
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(frame); err != nil {
-		s.countWriteError("bin", http.StatusOK, err)
-	}
+	s.front.WriteBody(w, http.StatusOK, BinContentType, finishBinResponse(fr))
 	sp.End(obs.StageEncode)
+	return nil
 }

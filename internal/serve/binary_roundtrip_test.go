@@ -139,7 +139,7 @@ func TestFrameEmptyBatchCanonical(t *testing.T) {
 
 // TestBinaryLargeBatchOverHTTP sends a >64 KiB frame through a real
 // HTTP server (not httptest recorders), so the server-side body read
-// crosses multiple TCP segments and the pooled readBody growth path is
+// crosses multiple TCP segments and the pooled ReadBody growth path is
 // exercised, and verifies every value against the reference grid.
 func TestBinaryLargeBatchOverHTTP(t *testing.T) {
 	s, refs := newTestServer(t, Config{}, 4)

@@ -128,7 +128,7 @@ func TestBinaryEvalErrors(t *testing.T) {
 		})
 	}
 
-	// Oversized body → 413 via MaxBytesReader.
+	// Oversized body → 413 from ReadBody's cap.
 	big := AppendEvalFrame(nil, "g3", func() [][]float64 {
 		pts := make([][]float64, 4000)
 		for k := range pts {

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
+	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
@@ -13,51 +16,70 @@ import (
 	"time"
 
 	"compactsg/internal/obs"
+	"compactsg/internal/serve/metrics"
 )
 
 // TestInstrumentRecoversPanic: a panicking handler must be answered
-// with a 500 JSON errorResponse, counted in sgserve_panics_total and
-// sgserve_errors_total, observed in the latency histogram, and its
+// with a 500 JSON errorResponse, counted in <prefix>_panics_total and
+// <prefix>_errors_total, observed in the latency histogram, and its
 // stack logged via slog — net/http's own recovery does none of that
 // (it aborts the connection and the request vanishes from metrics).
+// The front is built directly under both binaries' prefixes; a server
+// built on it keeps serving after the panic.
 func TestInstrumentRecoversPanic(t *testing.T) {
-	var logBuf bytes.Buffer
-	s := New(Config{ErrorLog: slog.New(slog.NewJSONHandler(&logBuf, nil))})
-	defer s.Close()
+	boom := func(http.ResponseWriter, *http.Request) error { panic("kernel exploded") }
+	for _, prefix := range []string{"sgserve", "sgproxy"} {
+		t.Run(prefix, func(t *testing.T) {
+			var logBuf bytes.Buffer
+			reg := metrics.NewRegistry()
+			f := NewFront(prefix, reg, obs.New(16), slog.New(slog.NewJSONHandler(&logBuf, nil)), nil)
+			rec := httptest.NewRecorder()
+			f.Instrument("boom", "json", boom).ServeHTTP(rec, httptest.NewRequest("POST", "/v1/eval", strings.NewReader("{}")))
 
-	h := s.instrument("boom", func(*http.Request) (any, error) {
-		panic("kernel exploded")
-	})
+			if rec.Code != http.StatusInternalServerError {
+				t.Fatalf("status = %d, want 500", rec.Code)
+			}
+			var er errorResponse
+			if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
+				t.Fatalf("panic response is not JSON: %v (%s)", err, rec.Body)
+			}
+			if er.Error != "internal server error" {
+				t.Errorf("error body = %q (panic values must not leak to clients)", er.Error)
+			}
+			if got := f.panics.Value(); got != 1 {
+				t.Errorf("%s_panics_total = %d, want 1", prefix, got)
+			}
+			if got := f.errors.With("boom").Value(); got != 1 {
+				t.Errorf("%s_errors_total = %d, want 1", prefix, got)
+			}
+			if got := f.latency.With("boom").Count(); got != 1 {
+				t.Errorf("latency observations = %d, want 1 (panics must not escape the histogram)", got)
+			}
+			var out bytes.Buffer
+			reg.WritePrometheus(&out)
+			for _, want := range []string{prefix + "_panics_total 1", prefix + "_write_errors_total 0",
+				prefix + `_errors_total{handler="boom"} 1`, prefix + `_request_seconds_count{handler="boom"} 1`} {
+				if !strings.Contains(out.String(), want+"\n") {
+					t.Errorf("/metrics missing %q", want)
+				}
+			}
+			logged := logBuf.String()
+			for _, want := range []string{"handler panic", "kernel exploded", "instrument_test.go"} {
+				if !strings.Contains(logged, want) {
+					t.Errorf("panic log missing %q:\n%s", want, logged)
+				}
+			}
+		})
+	}
+
+	s := New(Config{ErrorLog: slog.New(slog.NewJSONHandler(io.Discard, nil))})
+	defer s.Close()
+	h := s.front.InstrumentJSON("boom", func(*http.Request) (any, error) { panic("kernel exploded") })
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/eval", strings.NewReader("{}")))
-
 	if rec.Code != http.StatusInternalServerError {
-		t.Fatalf("status = %d, want 500", rec.Code)
+		t.Fatalf("server: status = %d, want 500", rec.Code)
 	}
-	var er errorResponse
-	if err := json.Unmarshal(rec.Body.Bytes(), &er); err != nil {
-		t.Fatalf("panic response is not JSON: %v (%s)", err, rec.Body)
-	}
-	if er.Error != "internal server error" {
-		t.Errorf("error body = %q (panic values must not leak to clients)", er.Error)
-	}
-	if got := s.met.panics.Value(); got != 1 {
-		t.Errorf("sgserve_panics_total = %d, want 1", got)
-	}
-	if got := s.met.errors.With("boom").Value(); got != 1 {
-		t.Errorf("sgserve_errors_total = %d, want 1", got)
-	}
-	if got := s.met.latency.With("boom").Count(); got != 1 {
-		t.Errorf("latency observations = %d, want 1 (panics must not escape the histogram)", got)
-	}
-	logged := logBuf.String()
-	for _, want := range []string{"handler panic", "kernel exploded", "instrument_test.go"} {
-		if !strings.Contains(logged, want) {
-			t.Errorf("panic log missing %q:\n%s", want, logged)
-		}
-	}
-
-	// The server keeps serving after a recovered panic.
 	rec = httptest.NewRecorder()
 	s.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/healthz", nil))
 	if rec.Code != 200 {
@@ -108,9 +130,45 @@ func TestDecodeJSONStrict(t *testing.T) {
 // ends, so the kernel stops before its first block; the micro-batch
 // cases park in a coalescer batch that would wait an hour.
 func TestInstrumentStatusMapping(t *testing.T) {
+	t.Run("front", func(t *testing.T) {
+		// The wrapper alone, as sgproxy builds it: each returned error
+		// answers its status with a JSON error body and counts once.
+		f := NewFront("sgproxy", metrics.NewRegistry(), obs.New(16), slog.New(slog.NewJSONHandler(io.Discard, nil)), nil)
+		for _, tc := range []struct {
+			err    error
+			status int
+		}{
+			{Errorf(http.StatusBadRequest, "bad point"), 400},
+			{fmt.Errorf("load: %w", ErrUnknownGrid), 404},
+			{Errorf(http.StatusRequestEntityTooLarge, "too big"), 413},
+			{fmt.Errorf("eval: %w", context.Canceled), 499},
+			{fmt.Errorf("eval: %w", context.DeadlineExceeded), 503},
+			{ErrClosed, 503},
+			{errors.New("unmapped"), 500},
+		} {
+			name := fmt.Sprintf("h%d", tc.status)
+			h := f.Instrument(name, "json", func(http.ResponseWriter, *http.Request) error { return tc.err })
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest("POST", "/v1/eval", nil))
+			var er errorResponse
+			if rec.Code != tc.status || json.Unmarshal(rec.Body.Bytes(), &er) != nil || er.Error != tc.err.Error() {
+				t.Errorf("%v: answered %d %q, want %d with its JSON error body", tc.err, rec.Code, rec.Body, tc.status)
+			}
+			if rec.Header().Get("X-Request-Id") == "" {
+				t.Errorf("%v: no X-Request-Id stamped", tc.err)
+			}
+		}
+		if got, want := f.errors.With("h503").Value(), uint64(2); got != want {
+			t.Errorf("sgproxy_errors_total{handler=h503} = %d, want %d", got, want)
+		}
+		if got := f.latency.With("h400").Count(); got != 1 {
+			t.Errorf("latency observations = %d, want 1", got)
+		}
+	})
+
 	t.Run("404 unknown grid", func(t *testing.T) {
 		s, _ := newTestServer(t, Config{Coalesce: true, BatchWait: time.Millisecond}, 2)
-		rec := postJSON(t, s.Handler(), "/v1/eval", evalRequest{Grid: "missing", Point: []float64{0.5, 0.5}})
+		rec := postJSON(t, s.Handler(), "/v1/eval", EvalRequest{Grid: "missing", Point: []float64{0.5, 0.5}})
 		if rec.Code != http.StatusNotFound {
 			t.Fatalf("status = %d, want 404 (body %s)", rec.Code, rec.Body)
 		}
@@ -127,7 +185,7 @@ func TestInstrumentStatusMapping(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan *httptest.ResponseRecorder, 1)
 		go func() {
-			body, _ := json.Marshal(evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+			body, _ := json.Marshal(EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 			req := httptest.NewRequest("POST", "/v1/eval", bytes.NewReader(body)).WithContext(ctx)
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
@@ -148,7 +206,7 @@ func TestInstrumentStatusMapping(t *testing.T) {
 	t.Run("503 deadline exceeded", func(t *testing.T) {
 		s, _ := newTestServer(t, Config{RequestTimeout: 20 * time.Millisecond}, 2)
 		s.evalGate = func(ctx context.Context, _ string) { <-ctx.Done() }
-		rec := postJSON(t, s.Handler(), "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+		rec := postJSON(t, s.Handler(), "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("status = %d, want 503 (body %s)", rec.Code, rec.Body)
 		}
@@ -165,7 +223,7 @@ func TestInstrumentStatusMapping(t *testing.T) {
 		ctx, cancel := context.WithCancel(context.Background())
 		done := make(chan *httptest.ResponseRecorder, 1)
 		go func() {
-			body, _ := json.Marshal(evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+			body, _ := json.Marshal(EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 			req := httptest.NewRequest("POST", "/v1/eval", bytes.NewReader(body)).WithContext(ctx)
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, req)
@@ -192,7 +250,7 @@ func TestInstrumentStatusMapping(t *testing.T) {
 			Coalesce: true, MaxBatch: 1024, BatchWait: time.Hour,
 			RequestTimeout: 20 * time.Millisecond,
 		}, 2)
-		rec := postJSON(t, s.Handler(), "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+		rec := postJSON(t, s.Handler(), "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("status = %d, want 503 (body %s)", rec.Code, rec.Body)
 		}
@@ -206,7 +264,7 @@ func TestInstrumentStatusMapping(t *testing.T) {
 		if err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		rec := postJSON(t, s.Handler(), "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+		rec := postJSON(t, s.Handler(), "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 		if rec.Code != http.StatusServiceUnavailable {
 			t.Fatalf("status = %d, want 503 (body %s)", rec.Code, rec.Body)
 		}
@@ -223,7 +281,7 @@ func TestTracesAndStageMetrics(t *testing.T) {
 	s, _ := newTestServer(t, Config{Coalesce: true, BatchWait: time.Millisecond}, 3)
 	h := s.Handler()
 
-	rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g3", Point: []float64{0.25, 0.5, 0.75}})
+	rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g3", Point: []float64{0.25, 0.5, 0.75}})
 	if rec.Code != 200 {
 		t.Fatalf("eval: %d %s", rec.Code, rec.Body)
 	}
@@ -231,7 +289,7 @@ func TestTracesAndStageMetrics(t *testing.T) {
 		t.Error("missing X-Request-Id header")
 	}
 	xs := [][]float64{{0.1, 0.2, 0.3}, {0.4, 0.5, 0.6}}
-	if rec = postJSON(t, h, "/v1/eval/batch", batchRequest{Grid: "g3", Points: xs}); rec.Code != 200 {
+	if rec = postJSON(t, h, "/v1/eval/batch", BatchRequest{Grid: "g3", Points: xs}); rec.Code != 200 {
 		t.Fatalf("batch: %d %s", rec.Code, rec.Body)
 	}
 
@@ -301,7 +359,7 @@ func TestTracesAndStageMetrics(t *testing.T) {
 func TestTracingDisabled(t *testing.T) {
 	s, _ := newTestServer(t, Config{Coalesce: true, BatchWait: time.Millisecond, TraceRing: -1}, 2)
 	h := s.Handler()
-	rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+	rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 	if rec.Code != 200 {
 		t.Fatalf("eval with tracing off: %d %s", rec.Code, rec.Body)
 	}
@@ -327,10 +385,10 @@ func TestAccessLog(t *testing.T) {
 		AccessLog: slog.New(slog.NewJSONHandler(lock, nil)),
 	}, 2)
 	h := s.Handler()
-	if rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}}); rec.Code != 200 {
+	if rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}}); rec.Code != 200 {
 		t.Fatalf("eval: %d %s", rec.Code, rec.Body)
 	}
-	if rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "nope", Point: []float64{0.5, 0.5}}); rec.Code != 404 {
+	if rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "nope", Point: []float64{0.5, 0.5}}); rec.Code != 404 {
 		t.Fatalf("eval unknown: %d", rec.Code)
 	}
 
@@ -392,13 +450,13 @@ func TestColdLoadWaitSpan(t *testing.T) {
 	wg.Add(2)
 	go func() { // leader
 		defer wg.Done()
-		postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+		postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
 	}()
 	go func() { // follower
 		defer wg.Done()
 		<-loadStarted
 		time.Sleep(10 * time.Millisecond) // let the follower join the in-flight load
-		postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.25, 0.25}})
+		postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.25, 0.25}})
 	}()
 	go func() {
 		<-loadStarted

@@ -160,14 +160,14 @@ func (o *onlineSet) modelFor(name string, dim int) (*onlineModel, error) {
 	defer o.mu.Unlock()
 	if m, ok := o.models[name]; ok {
 		if m.grid.Dim() != dim {
-			return nil, httpErrorf(http.StatusBadRequest,
+			return nil, Errorf(http.StatusBadRequest,
 				"grid %q is %d-dimensional, observation has %d coordinates", name, m.grid.Dim(), dim)
 		}
 		return m, nil
 	}
 	g, err := adaptive.NewObserved(dim, o.cfg.InitLevel, o.cfg.MaxLevel)
 	if err != nil {
-		return nil, httpErrorf(http.StatusBadRequest, "cannot create model %q: %v", name, err)
+		return nil, Errorf(http.StatusBadRequest, "cannot create model %q: %v", name, err)
 	}
 	m := &onlineModel{name: name, grid: g}
 	o.models[name] = m
@@ -297,30 +297,30 @@ func (o *onlineSet) writeSnapshot(name string, version uint64, cg *core.Grid) (s
 // online model (the in-process form of POST /v1/grids/{name}/refine).
 func (s *Server) RefineOnline(name string) (RefineResult, error) {
 	if s.online == nil {
-		return RefineResult{}, httpErrorf(http.StatusNotFound, "online mode is disabled")
+		return RefineResult{}, Errorf(http.StatusNotFound, "online mode is disabled")
 	}
 	m := s.online.get(name)
 	if m == nil {
-		return RefineResult{}, httpErrorf(http.StatusNotFound, "no online model %q: observe it first", name)
+		return RefineResult{}, Errorf(http.StatusNotFound, "no online model %q: observe it first", name)
 	}
 	return s.online.refine(m)
 }
 
-// validateGridName bounds names that become snapshot file names: short,
-// path-safe, no hidden-file or dot-dot tricks.
-func validateGridName(name string) error {
+// ValidateGridName bounds names that become snapshot file names and URL
+// path segments: short, path-safe, no hidden-file or dot-dot tricks.
+func ValidateGridName(name string) error {
 	if name == "" || len(name) > 128 {
-		return httpErrorf(http.StatusBadRequest, "grid name must be 1..128 characters")
+		return Errorf(http.StatusBadRequest, "grid name must be 1..128 characters")
 	}
 	if name[0] == '.' {
-		return httpErrorf(http.StatusBadRequest, "grid name cannot start with '.'")
+		return Errorf(http.StatusBadRequest, "grid name cannot start with '.'")
 	}
 	for _, r := range name {
 		switch {
 		case r >= 'a' && r <= 'z', r >= 'A' && r <= 'Z', r >= '0' && r <= '9',
 			r == '.', r == '_', r == '-':
 		default:
-			return httpErrorf(http.StatusBadRequest, "grid name contains %q; allowed: letters, digits, '.', '_', '-'", r)
+			return Errorf(http.StatusBadRequest, "grid name contains %q; allowed: letters, digits, '.', '_', '-'", r)
 		}
 	}
 	return nil
@@ -344,43 +344,43 @@ type observeResponse struct {
 func (s *Server) handleObserve(r *http.Request) (any, error) {
 	sp := obs.FromContext(r.Context())
 	name := r.PathValue("name")
-	if err := validateGridName(name); err != nil {
+	if err := ValidateGridName(name); err != nil {
 		return nil, err
 	}
 	sp.SetGrid(name)
 	var req observeRequest
-	if err := s.decodeJSON(r, &req); err != nil {
+	if err := DecodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
 		return nil, err
 	}
 	if len(req.Points) == 0 {
-		return nil, httpErrorf(http.StatusBadRequest, "no points")
+		return nil, Errorf(http.StatusBadRequest, "no points")
 	}
 	if len(req.Points) != len(req.Values) {
-		return nil, httpErrorf(http.StatusBadRequest,
+		return nil, Errorf(http.StatusBadRequest,
 			"%d points with %d values", len(req.Points), len(req.Values))
 	}
 	if len(req.Points) > s.cfg.MaxBatchPoints {
-		return nil, httpErrorf(http.StatusRequestEntityTooLarge,
+		return nil, Errorf(http.StatusRequestEntityTooLarge,
 			"batch of %d points exceeds the per-request cap of %d", len(req.Points), s.cfg.MaxBatchPoints)
 	}
 	sp.SetPoints(len(req.Points))
 	dim := len(req.Points[0])
 	if dim == 0 {
-		return nil, httpErrorf(http.StatusBadRequest, "point 0 has no coordinates")
+		return nil, Errorf(http.StatusBadRequest, "point 0 has no coordinates")
 	}
 	m, err := s.online.modelFor(name, dim)
 	if err != nil {
 		return nil, err
 	}
 	if m.grid.Points()+len(req.Points) > s.cfg.Online.MaxPoints {
-		return nil, httpErrorf(http.StatusInsufficientStorage,
+		return nil, Errorf(http.StatusInsufficientStorage,
 			"model %q at %d points; cap is %d", name, m.grid.Points(), s.cfg.Online.MaxPoints)
 	}
 	sp.Begin(obs.StageEval)
 	applied, rejected, err := m.grid.ObserveBatch(req.Points, req.Values)
 	sp.End(obs.StageEval)
 	if err != nil {
-		return nil, httpErrorf(http.StatusBadRequest, "%v", err)
+		return nil, Errorf(http.StatusBadRequest, "%v", err)
 	}
 	if applied > 0 {
 		m.dirty.Add(int64(applied))
@@ -400,7 +400,7 @@ func (s *Server) handleObserve(r *http.Request) (any, error) {
 func (s *Server) handleRefine(r *http.Request) (any, error) {
 	sp := obs.FromContext(r.Context())
 	name := r.PathValue("name")
-	if err := validateGridName(name); err != nil {
+	if err := ValidateGridName(name); err != nil {
 		return nil, err
 	}
 	sp.SetGrid(name)

@@ -309,7 +309,7 @@ func TestOnlineObserveRefineSwapEndToEnd(t *testing.T) {
 
 	// The served interpolant now matches the model at the center.
 	var er evalResponse
-	rec = postJSON(t, h, "/v1/eval", evalRequest{Grid: "live", Point: []float64{0.5, 0.5}})
+	rec = postJSON(t, h, "/v1/eval", EvalRequest{Grid: "live", Point: []float64{0.5, 0.5}})
 	if rec.Code != 200 {
 		t.Fatalf("eval status %d: %s", rec.Code, rec.Body)
 	}
@@ -334,7 +334,7 @@ func TestOnlineObserveRefineSwapEndToEnd(t *testing.T) {
 		t.Fatalf("refine round 2 = %+v; want swapped version 2", rr)
 	}
 	for _, x := range [][]float64{{0.25, 0.5}, {0.75, 0.5}, {0.5, 0.25}, {0.5, 0.75}} {
-		rec = postJSON(t, h, "/v1/eval", evalRequest{Grid: "live", Point: x})
+		rec = postJSON(t, h, "/v1/eval", EvalRequest{Grid: "live", Point: x})
 		json.Unmarshal(rec.Body.Bytes(), &er)
 		if want := f(x); math.Abs(er.Value-want) > 1e-12 {
 			t.Fatalf("eval(%v) after v2 = %g, want %g", x, er.Value, want)
@@ -389,7 +389,7 @@ func TestOnlineObserveRefineSwapEndToEnd(t *testing.T) {
 	if !rr.Swapped || rr.Version != 3 {
 		t.Fatalf("refine round 3 = %+v; want swapped version 3", rr)
 	}
-	rec = postJSON(t, h, "/v1/eval", evalRequest{Grid: "live", Point: []float64{0.5, 0.5}})
+	rec = postJSON(t, h, "/v1/eval", EvalRequest{Grid: "live", Point: []float64{0.5, 0.5}})
 	json.Unmarshal(rec.Body.Bytes(), &er)
 	if math.Abs(er.Value-9.0) > 1e-12 {
 		t.Fatalf("eval after v3 = %g, want the re-observed 9.0", er.Value)

@@ -259,9 +259,9 @@ func evalOne(t *testing.T, h http.Handler, endpoint, grid string, x []float64) (
 	var rec *httptest.ResponseRecorder
 	switch endpoint {
 	case "/v1/eval":
-		rec = postJSON(t, h, endpoint, evalRequest{Grid: grid, Point: x})
+		rec = postJSON(t, h, endpoint, EvalRequest{Grid: grid, Point: x})
 	case "/v1/eval/batch":
-		rec = postJSON(t, h, endpoint, batchRequest{Grid: grid, Points: [][]float64{x}})
+		rec = postJSON(t, h, endpoint, BatchRequest{Grid: grid, Points: [][]float64{x}})
 	default:
 		rec = postBin(t, h, AppendEvalFrame(nil, grid, [][]float64{x}))
 	}
@@ -330,13 +330,13 @@ func TestServerEvalAndBatch(t *testing.T) {
 			}
 
 			// Grid name may be omitted with a single registered grid.
-			rec := postJSON(t, h, "/v1/eval", evalRequest{Point: x})
+			rec := postJSON(t, h, "/v1/eval", EvalRequest{Point: x})
 			if rec.Code != 200 {
 				t.Fatalf("eval without grid name status = %d, body %s", rec.Code, rec.Body)
 			}
 
 			xs := workload.Points(3, 10, 3)
-			rec = postJSON(t, h, "/v1/eval/batch", batchRequest{Grid: "g3", Points: xs})
+			rec = postJSON(t, h, "/v1/eval/batch", BatchRequest{Grid: "g3", Points: xs})
 			if rec.Code != 200 {
 				t.Fatalf("batch status = %d, body %s", rec.Code, rec.Body)
 			}
@@ -352,7 +352,7 @@ func TestServerEvalAndBatch(t *testing.T) {
 			}
 
 			// Empty batch is a valid no-op.
-			rec = postJSON(t, h, "/v1/eval/batch", batchRequest{Grid: "g3", Points: [][]float64{}})
+			rec = postJSON(t, h, "/v1/eval/batch", BatchRequest{Grid: "g3", Points: [][]float64{}})
 			if rec.Code != 200 || !strings.Contains(rec.Body.String(), `"values":[]`) {
 				t.Fatalf("empty batch: status %d body %s", rec.Code, rec.Body)
 			}
@@ -437,9 +437,9 @@ func TestServerGridsHealthzMetrics(t *testing.T) {
 	}
 
 	// Generate traffic (one ok, one error), then check the exposition.
-	postJSON(t, h, "/v1/eval", evalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
-	postJSON(t, h, "/v1/eval", evalRequest{Grid: "none", Point: []float64{0.5, 0.5}})
-	postJSON(t, h, "/v1/eval/batch", batchRequest{Grid: "g2", Points: workload.Points(1, 5, 2)})
+	postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g2", Point: []float64{0.5, 0.5}})
+	postJSON(t, h, "/v1/eval", EvalRequest{Grid: "none", Point: []float64{0.5, 0.5}})
+	postJSON(t, h, "/v1/eval/batch", BatchRequest{Grid: "g2", Points: workload.Points(1, 5, 2)})
 
 	rec = httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
@@ -645,7 +645,7 @@ func TestServerEvictionKeepsServing(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for name, ref := range refs {
 			x := workload.Points(int64(round+1), 1, ref.Dim())[0]
-			rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: name, Point: x})
+			rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: name, Point: x})
 			if rec.Code != 200 {
 				t.Fatalf("%s round %d: status %d body %s", name, round, rec.Code, rec.Body)
 			}

@@ -2,15 +2,11 @@ package serve
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime/debug"
-	"strconv"
 	"sync"
 	"time"
 
@@ -148,7 +144,7 @@ type Server struct {
 	cfg    Config
 	grids  *GridSet
 	mux    *http.ServeMux
-	tracer *obs.Tracer
+	front  *Front
 	online *onlineSet // nil unless cfg.Online.Enabled
 
 	mu       sync.Mutex
@@ -175,9 +171,6 @@ type gridBatcher struct {
 
 type serverMetrics struct {
 	registry    *metrics.Registry
-	requests    *metrics.CounterVec
-	errors      *metrics.CounterVec
-	latency     *metrics.HistogramVec
 	batchSize   *metrics.Histogram
 	points      *metrics.Counter
 	resident    *metrics.Gauge
@@ -189,8 +182,6 @@ type serverMetrics struct {
 	evictions   *metrics.Counter
 	batchersNow *metrics.Gauge
 	drainsTotal *metrics.Counter
-	panics      *metrics.Counter
-	writeErrs   *metrics.Counter
 	openConns   *metrics.Gauge
 	// Write-path metrics (observe/refine/hot-swap).
 	observations *metrics.Counter
@@ -202,10 +193,6 @@ type serverMetrics struct {
 	// store. residentBytes is always present.
 	storeGauges   map[string]*metrics.Gauge
 	residentBytes *metrics.Gauge
-	// stageSecs holds the sgserve_stage_seconds children pre-resolved
-	// per stage so the per-request observation path takes no vec-map
-	// lock.
-	stageSecs [obs.NumStages]*metrics.Histogram
 }
 
 // New creates a Server. Register grid files with AddGrid before (or
@@ -215,9 +202,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		batchers: make(map[string]*gridBatcher),
-		tracer:   obs.New(cfg.TraceRing),
 	}
-	s.tracer.SetSampleEvery(cfg.TraceSample)
 	s.grids = NewGridSet(cfg.MaxResident, compactsg.WithWorkers(cfg.Workers))
 	s.grids.OnLoad = func(_ string, mode compactsg.LoadMode, took time.Duration) {
 		s.met.loads.Inc()
@@ -240,9 +225,6 @@ func New(cfg Config) *Server {
 	r := metrics.NewRegistry()
 	s.met = serverMetrics{
 		registry:    r,
-		requests:    r.NewCounterVec("sgserve_requests_total", "HTTP requests received, by handler and wire protocol (json or bin).", "handler", "protocol"),
-		errors:      r.NewCounterVec("sgserve_errors_total", "Requests answered with a non-2xx status, by handler.", "handler"),
-		latency:     r.NewHistogramVec("sgserve_request_seconds", "Request latency in seconds, by handler.", "handler", metrics.DefLatencyBuckets),
 		batchSize:   r.NewHistogram("sgserve_batch_size", "Points per dispatched evaluation batch (coalesced micro-batches and explicit batch requests).", metrics.DefSizeBuckets),
 		points:      r.NewCounter("sgserve_points_evaluated_total", "Grid points evaluated."),
 		resident:    r.NewGauge("sgserve_grids_resident", "Grids currently loaded in memory."),
@@ -254,8 +236,6 @@ func New(cfg Config) *Server {
 		evictions:   r.NewCounter("sgserve_grid_evictions_total", "LRU grid evictions."),
 		batchersNow: r.NewGauge("sgserve_batchers_active", "Per-grid micro-batch coalescers currently attached."),
 		drainsTotal: r.NewCounter("sgserve_batcher_drains_total", "Batchers drained and closed after their grid instance was evicted or replaced."),
-		panics:      r.NewCounter("sgserve_panics_total", "Handler panics recovered by the instrumentation wrapper (each answered with a 500)."),
-		writeErrs:   r.NewCounter("sgserve_write_errors_total", "Response bodies that failed mid-write (client gone, connection reset): the client saw a truncated response despite the logged status."),
 		openConns:   r.NewGauge("sgserve_open_connections", "TCP connections currently open on the server (accepted and not yet closed or hijacked); wire http.Server.ConnState to Server.ConnState to feed it."),
 
 		observations: r.NewCounter("sgserve_observations_total", "Nodal observations applied to online adaptive models."),
@@ -268,12 +248,9 @@ func New(cfg Config) *Server {
 			"Constant 1, labeled with this server's shard ID so per-shard scrapes stay distinguishable after aggregation.",
 			"shard_id").With(cfg.ShardID).Set(1)
 	}
-	stageVec := r.NewHistogramVec("sgserve_stage_seconds",
-		"Per-request time spent in each serving stage (decode, validate, load, load_wait, queue_wait, dispatch, eval, encode), in seconds.",
-		"stage", metrics.DefStageBuckets)
-	for st := obs.Stage(0); st < obs.NumStages; st++ {
-		s.met.stageSecs[st] = stageVec.With(st.Name())
-	}
+	tracer := obs.New(cfg.TraceRing)
+	tracer.SetSampleEvery(cfg.TraceSample)
+	s.front = NewFront("sgserve", r, tracer, cfg.ErrorLog, cfg.AccessLog)
 	s.met.residentBytes = r.NewGauge("sgserve_mapped_resident_bytes",
 		"Estimated physical memory held by resident grid payloads (mincore over mmap'd snapshots; full size for copy loads). Refreshed at scrape.")
 	if cfg.Store != nil {
@@ -316,15 +293,15 @@ func New(cfg Config) *Server {
 		mux.Handle("HEAD /v1/blobs/{key}", bh)
 		mux.Handle("PUT /v1/blobs/{key}", bh)
 	}
-	mux.Handle("GET /debug/traces", s.tracer.Handler())
-	mux.HandleFunc("GET /v1/grids", s.instrument("grids", s.handleGrids))
-	mux.HandleFunc("POST /v1/eval", s.instrument("eval", s.handleEval))
-	mux.HandleFunc("POST /v1/eval/batch", s.instrument("batch", s.handleEvalBatch))
-	mux.HandleFunc("POST /v1/eval/bin", s.instrumentRaw("eval_bin", "bin", s.handleEvalBin))
+	mux.Handle("GET /debug/traces", tracer.Handler())
+	mux.HandleFunc("GET /v1/grids", s.front.InstrumentJSON("grids", s.handleGrids))
+	mux.HandleFunc("POST /v1/eval", s.front.InstrumentJSON("eval", s.handleEval))
+	mux.HandleFunc("POST /v1/eval/batch", s.front.InstrumentJSON("batch", s.handleEvalBatch))
+	mux.HandleFunc("POST /v1/eval/bin", s.front.Instrument("eval_bin", "bin", s.handleEvalBin))
 	if cfg.Online.Enabled {
 		s.online = newOnlineSet(s, cfg.Online)
-		mux.HandleFunc("POST /v1/grids/{name}/observe", s.instrument("observe", s.handleObserve))
-		mux.HandleFunc("POST /v1/grids/{name}/refine", s.instrument("refine", s.handleRefine))
+		mux.HandleFunc("POST /v1/grids/{name}/observe", s.front.InstrumentJSON("observe", s.handleObserve))
+		mux.HandleFunc("POST /v1/grids/{name}/refine", s.front.InstrumentJSON("refine", s.handleRefine))
 	}
 	s.mux = mux
 	return s
@@ -344,7 +321,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if len(versions) == 0 {
 		versions = nil
 	}
-	s.writeJSON(w, http.StatusOK, struct {
+	s.front.WriteJSON(w, http.StatusOK, struct {
 		Status   string            `json:"status"`
 		ShardID  string            `json:"shard_id,omitempty"`
 		Resident int               `json:"resident"`
@@ -419,7 +396,7 @@ func (s *Server) Metrics() *metrics.Registry { return s.met.registry }
 
 // Tracer exposes the request tracer (for tests and in-process
 // harnesses like sgstress; HTTP consumers use GET /debug/traces).
-func (s *Server) Tracer() *obs.Tracer { return s.tracer }
+func (s *Server) Tracer() *obs.Tracer { return s.front.tracer }
 
 // Handler returns the routing handler for an http.Server.
 func (s *Server) Handler() http.Handler { return s.mux }
@@ -557,18 +534,20 @@ func (s *Server) retireLocked(gb *gridBatcher) {
 // ---------------------------------------------------------------------
 // handlers
 
-type evalRequest struct {
+// EvalRequest is the JSON body of POST /v1/eval on sgserve and sgproxy.
+type EvalRequest struct {
 	Grid  string    `json:"grid"`
 	Point []float64 `json:"point"`
 }
 
-type evalResponse struct {
-	Value float64 `json:"value"`
-}
-
-type batchRequest struct {
+// BatchRequest is the JSON body of POST /v1/eval/batch on both.
+type BatchRequest struct {
 	Grid   string      `json:"grid"`
 	Points [][]float64 `json:"points"`
+}
+
+type evalResponse struct {
+	Value float64 `json:"value"`
 }
 
 type batchResponse struct {
@@ -577,205 +556,6 @@ type batchResponse struct {
 
 type gridsResponse struct {
 	Grids []GridInfo `json:"grids"`
-}
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-// httpError carries a status code through the handler helpers.
-type httpError struct {
-	status int
-	msg    string
-}
-
-func (e *httpError) Error() string { return e.msg }
-
-func httpErrorf(status int, format string, args ...any) *httpError {
-	return &httpError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-// instrument wraps a JSON handler with the full instrumentation stack
-// (see instrumentRaw) plus the shared JSON success encoding.
-func (s *Server) instrument(name string, h func(*http.Request) (any, error)) http.HandlerFunc {
-	return s.instrumentRaw(name, "json", func(w http.ResponseWriter, r *http.Request) error {
-		body, err := h(r)
-		if err != nil {
-			return err
-		}
-		sp := obs.FromContext(r.Context())
-		sp.SetStatus(http.StatusOK)
-		sp.Begin(obs.StageEncode)
-		s.writeJSON(w, http.StatusOK, body)
-		sp.End(obs.StageEncode)
-		return nil
-	})
-}
-
-// instrumentRaw wraps a handler with request counting (labeled by
-// handler and wire protocol), latency observation, error accounting,
-// panic recovery, span lifecycle and (when configured) structured
-// access logging. The handler writes its own success response (and is
-// responsible for the span's status + encode stage); errors it returns
-// are rendered as JSON error bodies with the mapped status.
-//
-// Panics must be caught here, not left to net/http: the http.Server
-// recovery aborts the connection without writing a response, so the
-// client would see a dropped connection, no error would be counted and
-// the request's latency would never be observed.
-func (s *Server) instrumentRaw(name, protocol string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	reqs := s.met.requests.With(name, protocol)
-	errs := s.met.errors.With(name)
-	lat := s.met.latency.With(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqs.Inc()
-		sp := s.tracer.Start(name)
-		if sp != nil {
-			// The middleware chain may already have stamped a
-			// (proxy-propagated) request ID; keep it if so.
-			if w.Header().Get("X-Request-Id") == "" {
-				w.Header().Set("X-Request-Id", strconv.FormatUint(sp.ID(), 10))
-			}
-			// Record the inbound request ID too, so a proxied request is
-			// findable in this shard's /debug/traces under the same ID
-			// the proxy logged (requires the proxy to be listed in
-			// -trusted-proxies, or the middleware replaces the header).
-			if ext := r.Header.Get("X-Request-Id"); ext != "" {
-				sp.SetExtID(ext)
-			}
-			r = r.WithContext(obs.NewContext(r.Context(), sp))
-		}
-		status := http.StatusOK
-		defer func() {
-			if p := recover(); p != nil {
-				status = http.StatusInternalServerError
-				errs.Inc()
-				s.met.panics.Inc()
-				s.cfg.ErrorLog.LogAttrs(r.Context(), slog.LevelError, "handler panic",
-					slog.String("handler", name),
-					slog.Uint64("request_id", sp.ID()),
-					slog.String("panic", fmt.Sprint(p)),
-					slog.String("stack", string(debug.Stack())))
-				sp.SetStatus(status)
-				s.writeJSON(w, status, errorResponse{Error: "internal server error"})
-			}
-			total := time.Since(start)
-			lat.Observe(total.Seconds())
-			s.finishSpan(r.Context(), sp, name, status, total)
-		}()
-		if err := h(w, r); err != nil {
-			errs.Inc()
-			status = statusFor(err)
-			sp.SetError(err)
-			sp.SetStatus(status)
-			s.writeJSON(w, status, errorResponse{Error: err.Error()})
-		}
-	}
-}
-
-// statusFor maps handler errors to HTTP status codes.
-func statusFor(err error) int {
-	var he *httpError
-	switch {
-	case errors.As(err, &he):
-		return he.status
-	case errors.Is(err, ErrUnknownGrid):
-		return http.StatusNotFound
-	case errors.Is(err, ErrClosed):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, context.Canceled):
-		return 499 // client went away (nginx convention)
-	}
-	return http.StatusInternalServerError
-}
-
-// finishSpan feeds the span's stage durations into the
-// sgserve_stage_seconds histograms, emits the access log line, and
-// recycles the span. Runs once per request, panic or not.
-func (s *Server) finishSpan(ctx context.Context, sp *obs.Span, name string, status int, total time.Duration) {
-	if sp != nil {
-		for st := obs.Stage(0); st < obs.NumStages; st++ {
-			if sp.Touched(st) {
-				s.met.stageSecs[st].Observe(sp.Dur(st).Seconds())
-			}
-		}
-	}
-	if s.cfg.AccessLog != nil {
-		attrs := make([]slog.Attr, 0, 8+int(obs.NumStages))
-		attrs = append(attrs,
-			slog.Uint64("request_id", sp.ID()),
-			slog.String("handler", name),
-			slog.Int("status", status),
-			slog.Duration("total", total))
-		if g := sp.Grid(); g != "" {
-			attrs = append(attrs, slog.String("grid", g))
-		}
-		if n := sp.Points(); n > 0 {
-			attrs = append(attrs, slog.Int("points", n))
-		}
-		if n := sp.BatchSize(); n > 0 {
-			attrs = append(attrs, slog.Int("batch_size", n))
-		}
-		for st := obs.Stage(0); st < obs.NumStages; st++ {
-			if sp.Touched(st) {
-				attrs = append(attrs, slog.Duration(st.Name(), sp.Dur(st)))
-			}
-		}
-		s.cfg.AccessLog.LogAttrs(ctx, slog.LevelInfo, "request", attrs...)
-	}
-	sp.Finish()
-}
-
-// writeJSON renders a JSON response body. Encoder errors after
-// WriteHeader mean the client received a truncated body under an
-// already-committed (often 200) status — invisible in the status-code
-// metrics, so they are counted separately and logged at debug.
-func (s *Server) writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(body); err != nil {
-		s.countWriteError("json", status, err)
-	}
-}
-
-// countWriteError records a response body that failed mid-write.
-func (s *Server) countWriteError(protocol string, status int, err error) {
-	s.met.writeErrs.Inc()
-	s.cfg.ErrorLog.LogAttrs(context.Background(), slog.LevelDebug, "response write failed",
-		slog.String("protocol", protocol),
-		slog.Int("status", status),
-		slog.String("error", err.Error()))
-}
-
-// decodeJSON reads the body with the configured size cap, timed as the
-// request's decode stage. The body must hold exactly one JSON value: an
-// empty body and trailing data after the value (`{"point":[0.5]}junk`)
-// are both 400s — a decoder left to its own devices stops at the end of
-// the first value and would silently accept the garbage.
-func (s *Server) decodeJSON(r *http.Request, dst any) error {
-	sp := obs.FromContext(r.Context())
-	sp.Begin(obs.StageDecode)
-	defer sp.End(obs.StageDecode)
-	r.Body = http.MaxBytesReader(nil, r.Body, s.cfg.MaxBodyBytes)
-	dec := json.NewDecoder(r.Body)
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return httpErrorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-		}
-		if errors.Is(err, io.EOF) {
-			return httpErrorf(http.StatusBadRequest, "empty request body")
-		}
-		return httpErrorf(http.StatusBadRequest, "invalid JSON request: %v", err)
-	}
-	if _, err := dec.Token(); err != io.EOF {
-		return httpErrorf(http.StatusBadRequest, "request body contains data after the JSON value")
-	}
-	return nil
 }
 
 // resolveGrid fills in the default grid name when exactly one grid is
@@ -788,17 +568,17 @@ func (s *Server) resolveGrid(name string) (string, error) {
 	if len(names) == 1 {
 		return names[0], nil
 	}
-	return "", httpErrorf(http.StatusBadRequest, "request must name a grid (%d registered)", len(names))
+	return "", Errorf(http.StatusBadRequest, "request must name a grid (%d registered)", len(names))
 }
 
 // validatePoint checks dimensionality and the [0,1]^d domain.
 func validatePoint(x []float64, dim int, k int) error {
 	if len(x) != dim {
-		return httpErrorf(http.StatusBadRequest, "point %d has %d coordinates, grid has %d dimensions", k, len(x), dim)
+		return Errorf(http.StatusBadRequest, "point %d has %d coordinates, grid has %d dimensions", k, len(x), dim)
 	}
 	for t, v := range x {
 		if v < 0 || v > 1 || v != v { // v != v catches NaN
-			return httpErrorf(http.StatusBadRequest, "point %d coordinate %d = %g outside the domain [0,1]", k, t, v)
+			return Errorf(http.StatusBadRequest, "point %d coordinate %d = %g outside the domain [0,1]", k, t, v)
 		}
 	}
 	return nil
@@ -809,8 +589,8 @@ func (s *Server) handleGrids(_ *http.Request) (any, error) {
 }
 
 func (s *Server) handleEval(r *http.Request) (any, error) {
-	var req evalRequest
-	if err := s.decodeJSON(r, &req); err != nil {
+	var req EvalRequest
+	if err := DecodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
 		return nil, err
 	}
 	name, err := s.resolveGrid(req.Grid)
@@ -868,8 +648,8 @@ func (s *Server) evalCoalesced(ctx context.Context, name string, x []float64) (f
 }
 
 func (s *Server) handleEvalBatch(r *http.Request) (any, error) {
-	var req batchRequest
-	if err := s.decodeJSON(r, &req); err != nil {
+	var req BatchRequest
+	if err := DecodeJSON(r, s.cfg.MaxBodyBytes, &req); err != nil {
 		return nil, err
 	}
 	name, err := s.resolveGrid(req.Grid)
@@ -900,7 +680,7 @@ func (s *Server) evaluate(ctx context.Context, name string, pts [][]float64, out
 	defer s.inflight.Done()
 
 	if len(pts) > s.cfg.MaxBatchPoints {
-		return httpErrorf(http.StatusRequestEntityTooLarge,
+		return Errorf(http.StatusRequestEntityTooLarge,
 			"batch of %d points exceeds the per-request cap of %d", len(pts), s.cfg.MaxBatchPoints)
 	}
 	if len(pts) == 0 {

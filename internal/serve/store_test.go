@@ -216,7 +216,7 @@ func TestServerStoreMetrics(t *testing.T) {
 	h := srv.Handler()
 
 	x := []float64{0.4, 0.8}
-	rec := postJSON(t, h, "/v1/eval", evalRequest{Grid: "g", Point: x})
+	rec := postJSON(t, h, "/v1/eval", EvalRequest{Grid: "g", Point: x})
 	if rec.Code != 200 {
 		t.Fatalf("eval status = %d, body %s", rec.Code, rec.Body)
 	}

@@ -74,7 +74,8 @@ func TestForwardBinZeroAlloc(t *testing.T) {
 	pb := new(proxyBuf)
 	iter := func() {
 		body.Reset(frame)
-		if err := readClientBody(pb, body); err != nil {
+		var err error
+		if pb.raw, err = serve.ReadBody(pb.raw, body, 1<<20); err != nil {
 			t.Fatal(err)
 		}
 		name, err := serve.FrameGridName(pb.raw)

@@ -3,15 +3,12 @@ package shard
 import (
 	"bytes"
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"log/slog"
 	"net"
 	"net/http"
-	"runtime/debug"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -119,6 +116,7 @@ type Proxy struct {
 	state  atomic.Pointer[routeState]
 	mux    *http.ServeMux
 	tracer *obs.Tracer
+	front  *serve.Front
 	httpc  *http.Client // health probes and /v1/grids fan-out (not the hot path)
 	writec *http.Client // observe/refine relay; longer timeout than probes
 
@@ -132,9 +130,6 @@ type Proxy struct {
 
 type proxyMetrics struct {
 	registry  *metrics.Registry
-	requests  *metrics.CounterVec
-	errors    *metrics.CounterVec
-	latency   *metrics.HistogramVec
 	upReq     *metrics.CounterVec
 	upFail    *metrics.CounterVec
 	retries   *metrics.Counter
@@ -164,9 +159,6 @@ func New(cfg Config, t Topology) (*Proxy, error) {
 	r := metrics.NewRegistry()
 	p.met = proxyMetrics{
 		registry:  r,
-		requests:  r.NewCounterVec("sgproxy_requests_total", "Client requests received, by handler and wire protocol (json or bin).", "handler", "protocol"),
-		errors:    r.NewCounterVec("sgproxy_errors_total", "Client requests answered with a non-2xx status, by handler.", "handler"),
-		latency:   r.NewHistogramVec("sgproxy_request_seconds", "Client request latency in seconds, by handler.", "handler", metrics.DefLatencyBuckets),
 		upReq:     r.NewCounterVec("sgproxy_upstream_requests_total", "Upstream attempts, by shard ID.", "shard"),
 		upFail:    r.NewCounterVec("sgproxy_upstream_failures_total", "Upstream attempts that failed (transport error, 502 or 503), by shard ID.", "shard"),
 		retries:   r.NewCounter("sgproxy_retries_total", "Requests retried on a replica after an upstream attempt failed."),
@@ -177,6 +169,7 @@ func New(cfg Config, t Topology) (*Proxy, error) {
 		points:    r.NewCounter("sgproxy_points_forwarded_total", "Evaluation points forwarded upstream."),
 	}
 
+	p.front = serve.NewFront("sgproxy", r, p.tracer, cfg.ErrorLog, nil)
 	p.state.Store(p.buildState(t, nil))
 	p.met.epoch.Set(float64(t.Epoch))
 	p.met.healthy.Set(float64(len(t.Shards)))
@@ -186,11 +179,11 @@ func New(cfg Config, t Topology) (*Proxy, error) {
 	mux.Handle("GET /metrics", r.Handler())
 	mux.Handle("GET /debug/traces", p.tracer.Handler())
 	mux.HandleFunc("GET /v1/grids", p.handleGrids)
-	mux.HandleFunc("POST /v1/eval", p.instrument("eval", "json", p.handleEvalJSON))
-	mux.HandleFunc("POST /v1/eval/batch", p.instrument("batch", "json", p.handleBatchJSON))
-	mux.HandleFunc("POST /v1/eval/bin", p.instrument("eval_bin", "bin", p.handleEvalBin))
-	mux.HandleFunc("POST /v1/grids/{name}/observe", p.instrument("observe", "json", p.handleObserveRelay))
-	mux.HandleFunc("POST /v1/grids/{name}/refine", p.instrument("refine", "json", p.handleRefineRelay))
+	mux.HandleFunc("POST /v1/eval", p.front.Instrument("eval", "json", p.handleJSON(false)))
+	mux.HandleFunc("POST /v1/eval/batch", p.front.Instrument("batch", "json", p.handleJSON(true)))
+	mux.HandleFunc("POST /v1/eval/bin", p.front.Instrument("eval_bin", "bin", p.handleEvalBin))
+	mux.HandleFunc("POST /v1/grids/{name}/observe", p.front.Instrument("observe", "json", p.relayWrite("observe")))
+	mux.HandleFunc("POST /v1/grids/{name}/refine", p.front.Instrument("refine", "json", p.relayWrite("refine")))
 	mux.HandleFunc("GET /admin/topology", p.handleTopologyGet)
 	mux.HandleFunc("POST /admin/topology", p.handleTopologySet)
 	p.mux = mux
@@ -415,121 +408,38 @@ func (p *Proxy) forward(rs *routeState, pb *proxyBuf, frame []byte, name []byte,
 	return 0, lastErr
 }
 
-// readClientBody drains r into pb.raw without steady-state allocations.
-func readClientBody(pb *proxyBuf, r io.Reader) error {
-	buf := pb.raw[:0]
-	if cap(buf) == 0 {
-		buf = make([]byte, 0, 4096)
-	}
-	for {
-		if len(buf) == cap(buf) {
-			grown := make([]byte, len(buf), 2*cap(buf))
-			copy(grown, buf)
-			buf = grown
-		}
-		n, err := r.Read(buf[len(buf):cap(buf)])
-		buf = buf[:len(buf)+n]
-		if err == io.EOF {
-			pb.raw = buf
-			return nil
-		}
-		if err != nil {
-			pb.raw = buf
-			return err
-		}
-	}
-}
-
 // ---------------------------------------------------------------------
 // handlers
-
-type errorResponse struct {
-	Error string `json:"error"`
-}
-
-type proxyError struct {
-	status int
-	msg    string
-}
-
-func (e *proxyError) Error() string { return e.msg }
-
-func errorf(status int, format string, args ...any) *proxyError {
-	return &proxyError{status: status, msg: fmt.Sprintf(format, args...)}
-}
-
-func statusFor(err error) int {
-	var pe *proxyError
-	if errors.As(err, &pe) {
-		return pe.status
-	}
-	return http.StatusBadGateway
-}
-
-// instrument wraps a handler with request counting, latency, span
-// lifecycle and panic recovery. The handler writes its own success
-// response; returned errors render as {"error": ...} JSON.
-func (p *Proxy) instrument(name, protocol string, h func(http.ResponseWriter, *http.Request) error) http.HandlerFunc {
-	reqs := p.met.requests.With(name, protocol)
-	errs := p.met.errors.With(name)
-	lat := p.met.latency.With(name)
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		reqs.Inc()
-		sp := p.tracer.Start(name)
-		if sp != nil {
-			sp.SetExtID(r.Header.Get("X-Request-Id"))
-			r = r.WithContext(obs.NewContext(r.Context(), sp))
-		}
-		defer func() {
-			if pan := recover(); pan != nil {
-				errs.Inc()
-				p.cfg.ErrorLog.LogAttrs(r.Context(), slog.LevelError, "proxy handler panic",
-					slog.String("handler", name),
-					slog.String("panic", fmt.Sprint(pan)),
-					slog.String("stack", string(debug.Stack())))
-				sp.SetStatus(http.StatusInternalServerError)
-				writeJSON(w, http.StatusInternalServerError, errorResponse{Error: "internal server error"})
-			}
-			lat.Observe(time.Since(start).Seconds())
-			sp.Finish()
-		}()
-		if err := h(w, r); err != nil {
-			errs.Inc()
-			status := statusFor(err)
-			sp.SetError(err)
-			sp.SetStatus(status)
-			writeJSON(w, status, errorResponse{Error: err.Error()})
-		}
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, body any) {
-	w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	w.WriteHeader(status)
-	_ = json.NewEncoder(w).Encode(body)
-}
 
 // relayUpstream writes the upstream's response (binary values frame or
 // JSON error body) to the client verbatim. Relayed error statuses are
 // counted toward sgproxy_errors_total here because they return nil from
-// the handler and never take instrument's error path.
+// the handler and never take the front's error path.
 func (p *Proxy) relayUpstream(w http.ResponseWriter, sp *obs.Span, pb *proxyBuf, handler string, status int) {
 	if status >= 400 {
-		// Off the 2xx hot path, so the vec lookup's map lock is fine.
-		p.met.errors.With(handler).Inc()
+		p.front.CountError(handler)
+	}
+	ct := "application/json; charset=utf-8"
+	if pb.rt.respBin {
+		ct = serve.BinContentType
 	}
 	sp.SetStatus(status)
 	sp.Begin(obs.StageEncode)
-	if pb.rt.respBin {
-		w.Header().Set("Content-Type", serve.BinContentType)
-	} else {
-		w.Header().Set("Content-Type", "application/json; charset=utf-8")
-	}
-	w.Header().Set("Content-Length", strconv.Itoa(len(pb.rt.resp)))
-	w.WriteHeader(status)
-	w.Write(pb.rt.resp)
+	p.front.WriteBody(w, status, ct, pb.rt.resp)
 	sp.End(obs.StageEncode)
+}
+
+// dispatch forwards frame to the shards owning the grid name, timed as
+// the request's dispatch stage, and returns the upstream status.
+func (p *Proxy) dispatch(r *http.Request, pb *proxyBuf, frame, name []byte) (int, error) {
+	sp := obs.FromContext(r.Context())
+	sp.Begin(obs.StageDispatch)
+	status, err := p.forward(p.state.Load(), pb, frame, name, r.Header.Get("X-Request-Id"))
+	sp.End(obs.StageDispatch)
+	if err != nil {
+		return 0, serve.Errorf(http.StatusBadGateway, "no shard answered for grid %q: %v", name, err)
+	}
+	return status, nil
 }
 
 // handleEvalBin forwards a client binary frame verbatim: peek the grid
@@ -542,148 +452,91 @@ func (p *Proxy) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
 	defer proxyBufPool.Put(pb)
 
 	sp.Begin(obs.StageDecode)
-	r.Body = http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes)
-	err := readClientBody(pb, r.Body)
 	var name []byte
-	if err == nil {
-		name, err = serve.FrameGridName(pb.raw)
+	var err error
+	if pb.raw, err = serve.ReadBody(pb.raw, r.Body, p.cfg.MaxBodyBytes); err == nil {
+		if name, err = serve.FrameGridName(pb.raw); err != nil {
+			err = serve.Errorf(http.StatusBadRequest, "invalid binary frame: %v", err)
+		}
 	}
 	sp.End(obs.StageDecode)
 	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
-		}
-		return errorf(http.StatusBadRequest, "invalid binary frame: %v", err)
+		return err
 	}
-
-	rs := p.state.Load()
-	sp.Begin(obs.StageDispatch)
-	status, err := p.forward(rs, pb, pb.raw, name, r.Header.Get("X-Request-Id"))
-	sp.End(obs.StageDispatch)
+	status, err := p.dispatch(r, pb, pb.raw, name)
 	if err != nil {
-		return errorf(http.StatusBadGateway, "no shard answered for grid %q: %v", name, err)
+		return err
 	}
 	p.relayUpstream(w, sp, pb, "eval_bin", status)
 	return nil
 }
 
-type evalRequest struct {
-	Grid  string    `json:"grid"`
-	Point []float64 `json:"point"`
-}
-
-type batchRequest struct {
-	Grid   string      `json:"grid"`
-	Points [][]float64 `json:"points"`
-}
-
-// handleEvalJSON terminates a JSON single-point request and forwards
-// it upstream as a binary frame; the response frame is translated back
-// to {"value": ...} so clients cannot tell the proxy re-encoded.
-func (p *Proxy) handleEvalJSON(w http.ResponseWriter, r *http.Request) error {
-	sp := obs.FromContext(r.Context())
-	pb := proxyBufPool.Get().(*proxyBuf)
-	defer proxyBufPool.Put(pb)
-
-	var req evalRequest
-	if err := p.decodeJSON(sp, pb, r, &req); err != nil {
-		return err
+// handleJSON terminates /v1/eval (batch false) and /v1/eval/batch: it
+// decodes the body with the shards' own strict decoder, forwards the
+// points upstream as a binary frame, and translates the values frame
+// back to {"value": ...} or {"values": [...]} so clients cannot tell
+// the proxy re-encoded. A non-200 upstream answer is relayed verbatim.
+func (p *Proxy) handleJSON(batch bool) func(http.ResponseWriter, *http.Request) error {
+	handler := "eval"
+	if batch {
+		handler = "batch"
 	}
-	pb.frame = serve.AppendEvalFrame(pb.frame[:0], req.Grid, [][]float64{req.Point})
-	vals, status, err := p.forwardFrame(sp, pb, req.Grid, r)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		p.relayUpstream(w, sp, pb, "eval", status)
-		return nil
-	}
-	if len(vals) != 1 {
-		return errorf(http.StatusBadGateway, "shard answered %d values for a single-point request", len(vals))
-	}
-	p.met.points.Add(1)
-	sp.SetStatus(http.StatusOK)
-	sp.Begin(obs.StageEncode)
-	writeJSON(w, http.StatusOK, struct {
-		Value float64 `json:"value"`
-	}{vals[0]})
-	sp.End(obs.StageEncode)
-	return nil
-}
-
-// handleBatchJSON is handleEvalJSON for point batches.
-func (p *Proxy) handleBatchJSON(w http.ResponseWriter, r *http.Request) error {
-	sp := obs.FromContext(r.Context())
-	pb := proxyBufPool.Get().(*proxyBuf)
-	defer proxyBufPool.Put(pb)
-
-	var req batchRequest
-	if err := p.decodeJSON(sp, pb, r, &req); err != nil {
-		return err
-	}
-	pb.frame = serve.AppendEvalFrame(pb.frame[:0], req.Grid, req.Points)
-	vals, status, err := p.forwardFrame(sp, pb, req.Grid, r)
-	if err != nil {
-		return err
-	}
-	if status != http.StatusOK {
-		p.relayUpstream(w, sp, pb, "batch", status)
-		return nil
-	}
-	p.met.points.Add(uint64(len(vals)))
-	sp.SetStatus(http.StatusOK)
-	sp.Begin(obs.StageEncode)
-	if vals == nil {
-		vals = []float64{}
-	}
-	writeJSON(w, http.StatusOK, struct {
-		Values []float64 `json:"values"`
-	}{vals})
-	sp.End(obs.StageEncode)
-	return nil
-}
-
-func (p *Proxy) decodeJSON(sp *obs.Span, pb *proxyBuf, r *http.Request, dst any) error {
-	sp.Begin(obs.StageDecode)
-	defer sp.End(obs.StageDecode)
-	r.Body = http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes)
-	if err := readClientBody(pb, r.Body); err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
+	return func(w http.ResponseWriter, r *http.Request) error {
+		sp := obs.FromContext(r.Context())
+		var req serve.BatchRequest
+		var err error
+		if batch {
+			err = serve.DecodeJSON(r, p.cfg.MaxBodyBytes, &req)
+		} else {
+			var one serve.EvalRequest
+			err = serve.DecodeJSON(r, p.cfg.MaxBodyBytes, &one)
+			req = serve.BatchRequest{Grid: one.Grid, Points: [][]float64{one.Point}}
 		}
-		return errorf(http.StatusBadRequest, "reading request body: %v", err)
+		if err != nil {
+			return err
+		}
+		// The frame is one n·d block with d taken from point 0: a ragged
+		// batch would be re-cut into points the client never sent.
+		for k, x := range req.Points {
+			if len(x) != len(req.Points[0]) {
+				return serve.Errorf(http.StatusBadRequest,
+					"point %d has %d coordinates, point 0 has %d", k, len(x), len(req.Points[0]))
+			}
+		}
+		sp.SetGrid(req.Grid)
+		pb := proxyBufPool.Get().(*proxyBuf)
+		defer proxyBufPool.Put(pb)
+		pb.frame = serve.AppendEvalFrame(pb.frame[:0], req.Grid, req.Points)
+		status, err := p.dispatch(r, pb, pb.frame, unsafeNameBytes(pb, req.Grid))
+		if err != nil {
+			return err
+		}
+		if status != http.StatusOK {
+			p.relayUpstream(w, sp, pb, handler, status)
+			return nil
+		}
+		vals, err := serve.ParseValuesFrame(pb.rt.resp)
+		if err == nil && len(vals) != len(req.Points) {
+			err = fmt.Errorf("%d values for %d points", len(vals), len(req.Points))
+		}
+		if err != nil {
+			return serve.Errorf(http.StatusBadGateway, "shard sent an invalid values frame: %v", err)
+		}
+		p.met.points.Add(uint64(len(vals)))
+		sp.SetStatus(http.StatusOK)
+		sp.Begin(obs.StageEncode)
+		if batch {
+			p.front.WriteJSON(w, http.StatusOK, struct {
+				Values []float64 `json:"values"`
+			}{vals})
+		} else {
+			p.front.WriteJSON(w, http.StatusOK, struct {
+				Value float64 `json:"value"`
+			}{vals[0]})
+		}
+		sp.End(obs.StageEncode)
+		return nil
 	}
-	if len(pb.raw) == 0 {
-		return errorf(http.StatusBadRequest, "empty request body")
-	}
-	if err := json.Unmarshal(pb.raw, dst); err != nil {
-		return errorf(http.StatusBadRequest, "invalid JSON request: %v", err)
-	}
-	return nil
-}
-
-// forwardFrame forwards pb.frame for grid and, on a 200, parses the
-// values frame. Non-200 upstream answers come back with a nil slice
-// and the status for the caller to relay.
-func (p *Proxy) forwardFrame(sp *obs.Span, pb *proxyBuf, grid string, r *http.Request) ([]float64, int, error) {
-	sp.SetGrid(grid)
-	rs := p.state.Load()
-	sp.Begin(obs.StageDispatch)
-	status, err := p.forward(rs, pb, pb.frame, unsafeNameBytes(pb, grid), r.Header.Get("X-Request-Id"))
-	sp.End(obs.StageDispatch)
-	if err != nil {
-		return nil, 0, errorf(http.StatusBadGateway, "no shard answered for grid %q: %v", grid, err)
-	}
-	if status != http.StatusOK {
-		return nil, status, nil
-	}
-	vals, err := serve.ParseValuesFrame(pb.rt.resp)
-	if err != nil {
-		return nil, 0, errorf(http.StatusBadGateway, "shard sent an invalid values frame: %v", err)
-	}
-	return vals, status, nil
 }
 
 // unsafeNameBytes returns the grid name as bytes for ring routing. The
@@ -735,7 +588,7 @@ func (p *Proxy) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		resp.Status = "no shards available"
 	}
-	writeJSON(w, status, resp)
+	p.front.WriteJSON(w, status, resp)
 }
 
 // handleGrids relays GET /v1/grids from the first shard that answers
@@ -776,108 +629,99 @@ func (p *Proxy) handleGrids(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	writeJSON(w, http.StatusBadGateway, errorResponse{Error: "no shard answered /v1/grids"})
+	p.front.WriteError(w, serve.Errorf(http.StatusBadGateway, "no shard answered /v1/grids"))
 }
 
 // ---------------------------------------------------------------------
 // online write-path relay
 
-// handleObserveRelay / handleRefineRelay forward online write traffic
-// (observations and refine/swap triggers) to the shard that OWNS the
-// grid name — the same ring owner evaluations route to, so a model's
-// observations, refinement state, and swapped snapshots all live on
-// one shard. Unlike evaluations, writes are not idempotent: exactly
-// one upstream attempt is made (the first available owner) and its
-// answer — success or failure — is relayed verbatim, never retried on
-// a replica.
-func (p *Proxy) handleObserveRelay(w http.ResponseWriter, r *http.Request) error {
-	return p.relayWrite(w, r, "observe")
-}
-
-func (p *Proxy) handleRefineRelay(w http.ResponseWriter, r *http.Request) error {
-	return p.relayWrite(w, r, "refine")
-}
-
-func (p *Proxy) relayWrite(w http.ResponseWriter, r *http.Request, verb string) error {
-	sp := obs.FromContext(r.Context())
-	name := r.PathValue("name")
-	if name == "" {
-		return errorf(http.StatusBadRequest, "missing grid name")
-	}
-	sp.SetGrid(name)
-
-	sp.Begin(obs.StageDecode)
-	r.Body = http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes)
-	body, err := io.ReadAll(r.Body)
-	sp.End(obs.StageDecode)
-	if err != nil {
-		var maxErr *http.MaxBytesError
-		if errors.As(err, &maxErr) {
-			return errorf(http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", maxErr.Limit)
+// relayWrite returns the handler that forwards online write traffic
+// (verb observe or refine) to the shard that OWNS the grid name — the
+// same ring owner evaluations route to, so a model's observations,
+// refinement state, and swapped snapshots all live on one shard. Unlike
+// evaluations, writes are not idempotent: exactly one upstream attempt
+// is made (the first available owner) and its answer — success or
+// failure — is relayed verbatim, never retried on a replica.
+func (p *Proxy) relayWrite(verb string) func(http.ResponseWriter, *http.Request) error {
+	return func(w http.ResponseWriter, r *http.Request) error {
+		sp := obs.FromContext(r.Context())
+		// The name becomes a segment of the upstream URL: refuse what the
+		// shard refuses before any upstream call, or an encoded "../" or
+		// "?" would steer the write to another shard endpoint.
+		name := r.PathValue("name")
+		if err := serve.ValidateGridName(name); err != nil {
+			return err
 		}
-		return errorf(http.StatusBadRequest, "reading request body: %v", err)
-	}
+		sp.SetGrid(name)
 
-	rs := p.state.Load()
-	owners := rs.ring.OwnersInto(nil, []byte(name), p.cfg.Replicas)
-	if len(owners) == 0 {
-		return errorf(http.StatusServiceUnavailable, "no shard available for grid %q", name)
-	}
-	// The first available owner is the write primary; with every owner
-	// sidelined, fall back to the ring primary so the client gets the
-	// real upstream error rather than a synthesized one.
-	now := time.Now()
-	u := rs.ups[owners[0]]
-	for _, idx := range owners {
-		if rs.ups[idx].available(now) {
-			u = rs.ups[idx]
-			break
+		sp.Begin(obs.StageDecode)
+		body, err := serve.ReadBody(nil, r.Body, p.cfg.MaxBodyBytes)
+		sp.End(obs.StageDecode)
+		if err != nil {
+			return err
 		}
-	}
 
-	ctx, cancel := context.WithTimeout(r.Context(), p.cfg.UpstreamTimeout)
-	defer cancel()
-	url := "http://" + u.shard.Addr + "/v1/grids/" + name + "/" + verb
-	req, err := http.NewRequestWithContext(ctx, "POST", url, bytes.NewReader(body))
-	if err != nil {
-		return errorf(http.StatusInternalServerError, "building upstream request: %v", err)
+		rs := p.state.Load()
+		owners := rs.ring.OwnersInto(nil, []byte(name), p.cfg.Replicas)
+		if len(owners) == 0 {
+			return serve.Errorf(http.StatusServiceUnavailable, "no shard available for grid %q", name)
+		}
+		// The first available owner is the write primary; with every owner
+		// sidelined, fall back to the ring primary so the client gets the
+		// real upstream error rather than a synthesized one.
+		now := time.Now()
+		u := rs.ups[owners[0]]
+		for _, idx := range owners {
+			if rs.ups[idx].available(now) {
+				u = rs.ups[idx]
+				break
+			}
+		}
+
+		ctx, cancel := context.WithTimeout(r.Context(), p.cfg.UpstreamTimeout)
+		defer cancel()
+		url := "http://" + u.shard.Addr + "/v1/grids/" + name + "/" + verb
+		req, err := http.NewRequestWithContext(ctx, "POST", url, bytes.NewReader(body))
+		if err != nil {
+			return serve.Errorf(http.StatusInternalServerError, "building upstream request: %v", err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if id := r.Header.Get("X-Request-Id"); id != "" {
+			req.Header.Set("X-Request-Id", id)
+		}
+		u.metReq.Inc()
+		sp.Begin(obs.StageDispatch)
+		resp, err := p.writec.Do(req)
+		sp.End(obs.StageDispatch)
+		if err != nil {
+			u.metFail.Inc()
+			return serve.Errorf(http.StatusBadGateway, "shard %s did not answer %s for grid %q: %v", u.shard.ID, verb, name, err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode >= 500 {
+			u.metFail.Inc()
+		}
+		if resp.StatusCode >= 400 {
+			// Relayed errors return nil below and skip the front's error
+			// path; count them here like relayUpstream does.
+			p.front.CountError(verb)
+		}
+		sp.SetStatus(resp.StatusCode)
+		sp.Begin(obs.StageEncode)
+		ct := resp.Header.Get("Content-Type")
+		if ct == "" {
+			ct = "application/json; charset=utf-8"
+		}
+		w.Header().Set("Content-Type", ct)
+		w.WriteHeader(resp.StatusCode)
+		io.Copy(w, resp.Body)
+		sp.End(obs.StageEncode)
+		return nil
 	}
-	req.Header.Set("Content-Type", "application/json")
-	if id := r.Header.Get("X-Request-Id"); id != "" {
-		req.Header.Set("X-Request-Id", id)
-	}
-	u.metReq.Inc()
-	sp.Begin(obs.StageDispatch)
-	resp, err := p.writec.Do(req)
-	sp.End(obs.StageDispatch)
-	if err != nil {
-		u.metFail.Inc()
-		return errorf(http.StatusBadGateway, "shard %s did not answer %s for grid %q: %v", u.shard.ID, verb, name, err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode >= 500 {
-		u.metFail.Inc()
-	}
-	if resp.StatusCode >= 400 {
-		// Relayed errors return nil below and skip instrument's error
-		// path; count them here like relayUpstream does.
-		p.met.errors.With(verb).Inc()
-	}
-	sp.SetStatus(resp.StatusCode)
-	sp.Begin(obs.StageEncode)
-	ct := resp.Header.Get("Content-Type")
-	if ct == "" {
-		ct = "application/json; charset=utf-8"
-	}
-	w.Header().Set("Content-Type", ct)
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
-	sp.End(obs.StageEncode)
-	return nil
 }
 
 func (p *Proxy) handleTopologyGet(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, http.StatusOK, p.Topology())
+	p.front.WriteJSON(w, http.StatusOK, p.Topology())
 }
 
 // handleTopologySet swaps the routing topology: POST a Topology JSON
@@ -885,9 +729,8 @@ func (p *Proxy) handleTopologyGet(w http.ResponseWriter, _ *http.Request) {
 // controllers cannot fight routing backwards.
 func (p *Proxy) handleTopologySet(w http.ResponseWriter, r *http.Request) {
 	var t Topology
-	r.Body = http.MaxBytesReader(nil, r.Body, p.cfg.MaxBodyBytes)
-	if err := json.NewDecoder(r.Body).Decode(&t); err != nil {
-		writeJSON(w, http.StatusBadRequest, errorResponse{Error: fmt.Sprintf("invalid topology: %v", err)})
+	if err := serve.DecodeJSON(r, p.cfg.MaxBodyBytes, &t); err != nil {
+		p.front.WriteError(w, err)
 		return
 	}
 	if err := p.SetTopology(t); err != nil {
@@ -895,11 +738,11 @@ func (p *Proxy) handleTopologySet(w http.ResponseWriter, r *http.Request) {
 		if t.Validate() == nil {
 			status = http.StatusConflict // structurally fine, stale epoch
 		}
-		writeJSON(w, status, errorResponse{Error: err.Error()})
+		p.front.WriteError(w, serve.Errorf(status, "%v", err))
 		return
 	}
 	// Re-poll immediately so a replacement shard turns routable without
 	// waiting out a full health interval.
 	p.pollHealth()
-	writeJSON(w, http.StatusOK, p.Topology())
+	p.front.WriteJSON(w, http.StatusOK, p.Topology())
 }

@@ -196,8 +196,10 @@ func TestProxyRelaysUpstreamErrors(t *testing.T) {
 	if got := p.met.retries.Value(); got != 0 {
 		t.Fatalf("a 404 caused %d retries; client errors must not burn the failover budget", got)
 	}
-	if got := p.met.errors.With("eval_bin").Value(); got != 1 {
-		t.Fatalf("sgproxy_errors_total{eval_bin} = %d after a relayed 404, want 1 (relayed errors are client-visible failures)", got)
+	var out bytes.Buffer
+	p.Metrics().WritePrometheus(&out)
+	if got := metricLine(out.String(), `sgproxy_errors_total{handler="eval_bin"}`); got != "1" {
+		t.Fatalf("sgproxy_errors_total{eval_bin} = %s after a relayed 404, want 1 (relayed errors are client-visible failures)", got)
 	}
 }
 

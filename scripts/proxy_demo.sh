@@ -134,6 +134,13 @@ done
 after=$(curl -s "$base/metrics" | sed -n 's/^sgproxy_upstream_requests_total{shard="s1"} //p')
 [ "${after:-0}" != "${before:-0}" ] || fail "replacement shard s1 received no traffic after recovery"
 
+# The proxy runs sgserve's request front, so its /metrics carries the
+# same panic and per-stage families, filled by the load run above.
+pmetrics=$(curl -s "$base/metrics")
+grep -qx 'sgproxy_panics_total 0' <<<"$pmetrics" || fail "proxy /metrics lacks sgproxy_panics_total 0"
+dispatch=$(sed -n 's/^sgproxy_stage_seconds_count{stage="dispatch"} //p' <<<"$pmetrics")
+[ "${dispatch:-0}" != 0 ] || fail "proxy recorded no dispatch stage (sgproxy_stage_seconds_count{stage=\"dispatch\"} = ${dispatch:-absent})"
+
 grep -E 'req/s|throughput' "$workdir/load2.txt" | head -2 || true
 kill -TERM "$proxy_pid"
 wait "$proxy_pid" || fail "proxy exited non-zero on SIGTERM"
