@@ -28,7 +28,6 @@ import (
 	"net/http"
 	"os"
 	"sort"
-	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -36,6 +35,7 @@ import (
 
 	"compactsg/internal/obs"
 	"compactsg/internal/serve"
+	"compactsg/internal/serve/metrics"
 	"compactsg/internal/workload"
 )
 
@@ -407,22 +407,12 @@ func scrapeBatchStats(client *http.Client, base string) (batchStats, bool) {
 		return batchStats{}, false
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
+	m, err := metrics.Parse(resp.Body)
+	sum, found := m["sgserve_batch_size_sum"]
+	if err != nil || !found {
 		return batchStats{}, false
 	}
-	var st batchStats
-	found := false
-	for _, line := range strings.Split(string(data), "\n") {
-		if v, ok := strings.CutPrefix(line, "sgserve_batch_size_sum "); ok {
-			st.sum, _ = strconv.ParseFloat(strings.TrimSpace(v), 64)
-			found = true
-		}
-		if v, ok := strings.CutPrefix(line, "sgserve_batch_size_count "); ok {
-			st.count, _ = strconv.ParseUint(strings.TrimSpace(v), 10, 64)
-		}
-	}
-	return st, found
+	return batchStats{sum: sum, count: uint64(m["sgserve_batch_size_count"])}, true
 }
 
 func quantile(sorted []time.Duration, q float64) time.Duration {

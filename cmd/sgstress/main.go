@@ -1,55 +1,52 @@
 // Command sgstress is the race-hunting chaos harness for the serving
-// layer (internal/serve). It stands up an in-process Server over more
+// layer. Its default mode stands up an in-process Server over more
 // grids than the resident bound allows, then hammers it from three
 // worker populations at once:
 //
-//   - hot workers pin one grid with a continuous stream of /v1/eval
+//   - hot workers pin one grid with a continuous stream of eval
 //     requests (the latency victims if anything blocks the fast path),
 //   - cold workers cycle through every other grid, forcing constant
-//     LRU eviction, reload and batcher drain churn,
+//     LRU eviction, reload and batcher drain churn, and register a
+//     brand-new grid file mid-flight every -churn cold requests,
 //   - cancellers fire requests with microsecond deadlines so contexts
-//     die before, during and after enqueue into open micro-batches,
+//     die before, during and after enqueue into open micro-batches.
 //
-// while a churn goroutine keeps registering brand-new grid files
-// mid-flight. Loads can be artificially inflated (-load-delay) to make
+// Loads can be artificially inflated (-load-delay) to make
 // head-of-line blocking measurable: before the singleflight rework, a
 // cold load held the registry mutex through the file read, so every
-// request — resident or not — queued behind it.
+// request — resident or not — queued behind it. -shard-chaos,
+// -swap-chaos and -store-chaos run the other scenarios on the same
+// harness (harness.go).
 //
-// Every response is checked against a reference grid; at the end the
-// harness drains the server and verifies no goroutine leaked. It exits
-// non-zero on any wrong value, unexpected status, leak, or (with
-// -assert-hot-p50) a hot-path median latency above the bound. Run it
-// under -race in CI:
+// Every value is checked bit for bit against a reference grid; at the
+// end the harness closes the server and verifies no goroutine or
+// snapshot mapping leaked. It exits non-zero on any wrong value,
+// unexpected status, leak, or (with -assert-hot-p50) a hot-path median
+// latency above the bound. Every request stream and fault point is
+// drawn from -seed and counted in requests, so the first line's seed
+// replays a failure. Run it under -race in CI:
 //
 //	go run -race ./cmd/sgstress -duration 2s
 //	go run -race ./cmd/sgstress -duration 5s -load-delay 25ms -assert-hot-p50 20ms
 package main
 
 import (
-	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
-	"regexp"
 	"runtime"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"compactsg"
-	"compactsg/internal/core"
 	"compactsg/internal/obs"
 	"compactsg/internal/serve"
-	"compactsg/internal/serve/metrics"
 )
 
 func main() {
@@ -68,7 +65,7 @@ type config struct {
 	hot        int
 	cold       int
 	cancellers int
-	churn      time.Duration
+	churn      int
 	loadDelay  time.Duration
 	seed       int64
 	assertP50  time.Duration
@@ -95,15 +92,15 @@ func run(args []string) error {
 	fs.IntVar(&cfg.hot, "hot", 2, "workers hammering the pinned hot grid")
 	fs.IntVar(&cfg.cold, "cold", 4, "workers cycling cold grids (eviction churn)")
 	fs.IntVar(&cfg.cancellers, "cancellers", 2, "workers firing requests with microsecond deadlines")
-	fs.DurationVar(&cfg.churn, "churn", 100*time.Millisecond, "interval between mid-flight grid registrations (0 = off)")
+	fs.IntVar(&cfg.churn, "churn", 25, "cold requests between mid-flight grid registrations (0 = off)")
 	fs.DurationVar(&cfg.loadDelay, "load-delay", 20*time.Millisecond, "artificial extra latency per grid load (0 = off)")
-	fs.Int64Var(&cfg.seed, "seed", 1, "base RNG seed")
+	fs.Int64Var(&cfg.seed, "seed", 1, "seed of every worker's request stream and of the fault schedule; a failing run prints it for replay")
 	fs.DurationVar(&cfg.assertP50, "assert-hot-p50", 0, "fail if hot-grid MEDIAN latency exceeds this bound (0 = report only)")
 	fs.IntVar(&cfg.maxBatch, "max-batch", 64, "micro-batch size cap")
 	fs.DurationVar(&cfg.batchWait, "batch-wait", time.Millisecond, "micro-batch linger")
 	fs.DurationVar(&cfg.timeout, "timeout", 10*time.Second, "per-request timeout for hot/cold workers")
 	fs.IntVar(&cfg.workers, "workers", 2, "evaluation worker pool per grid (0 = auto: GOMAXPROCS)")
-	fs.StringVar(&cfg.protocol, "protocol", "mix", "wire protocol for eval traffic: json, bin, or mix (each request flips a coin)")
+	fs.StringVar(&cfg.protocol, "protocol", "mix", "eval wire protocol in every mode: json (JSON points and batches), bin (binary frames) or mix (each request picks one of the three)")
 	fs.BoolVar(&cfg.shardChaos, "shard-chaos", false, "run the sharded-proxy chaos scenario instead: kill and replace a shard mid-traffic behind an in-process sgproxy")
 	fs.IntVar(&cfg.shardCount, "shard-count", 3, "shards behind the proxy in -shard-chaos")
 	fs.IntVar(&cfg.replicas, "replicas", 2, "replica assignment per grid name in -shard-chaos")
@@ -118,159 +115,117 @@ func run(args []string) error {
 	if cfg.grids < 2 {
 		return fmt.Errorf("-grids must be at least 2 (one hot, one churning)")
 	}
-	if cfg.storeChaos {
+	mode := stress
+	switch {
+	case cfg.storeChaos:
 		if cfg.grids < 4 {
 			return fmt.Errorf("-store-chaos needs at least 4 grids (hot + cold pool + poisoned)")
 		}
-		return storeChaos(cfg)
-	}
-	if cfg.swapChaos {
-		return swapChaos(cfg)
-	}
-	if cfg.shardChaos {
+		mode = storeChaos
+	case cfg.swapChaos:
+		mode = swapChaos
+	case cfg.shardChaos:
 		if cfg.shardCount < 3 {
 			return fmt.Errorf("-shard-chaos needs at least 3 shards (one dies mid-run)")
 		}
 		if cfg.replicas < 2 {
 			return fmt.Errorf("-shard-chaos needs -replicas >= 2 (failover must have somewhere to go)")
 		}
-		return shardChaos(cfg)
+		mode = shardChaos
 	}
-	return stress(cfg)
+	if err := mode(cfg); err != nil {
+		return fmt.Errorf("seed %d: %w", cfg.seed, err)
+	}
+	return nil
 }
 
-// pool is the shared name → reference-grid table; the churn goroutine
-// appends to it while cold workers and cancellers draw from it.
+// pool is the cold grid set; churn appends to it while cold workers
+// and cancellers draw from it.
 type pool struct {
 	mu    sync.RWMutex
-	names []string
-	refs  map[string]*compactsg.Grid
+	files []gridFile
 }
 
-func (p *pool) add(name string, ref *compactsg.Grid) {
+func (p *pool) add(g gridFile) {
 	p.mu.Lock()
-	p.names = append(p.names, name)
-	p.refs[name] = ref
+	p.files = append(p.files, g)
 	p.mu.Unlock()
 }
 
-func (p *pool) pick(rng *rand.Rand) (string, *compactsg.Grid) {
+func (p *pool) pick(rng *rand.Rand) gridFile {
 	p.mu.RLock()
-	name := p.names[rng.Intn(len(p.names))]
-	ref := p.refs[name]
-	p.mu.RUnlock()
-	return name, ref
+	defer p.mu.RUnlock()
+	return p.files[rng.Intn(len(p.files))]
 }
 
-// stats is one worker population's latency record.
-type stats struct {
-	lat  *metrics.Histogram
-	max  atomic.Uint64 // float64 bits
-	n    atomic.Uint64
-	errs atomic.Uint64
+// gridFile is one grid file a run serves and its in-memory reference.
+type gridFile struct {
+	name, path string
+	ref        *compactsg.Grid
 }
 
-func newStats(r *metrics.Registry, name string) *stats {
-	return &stats{lat: r.NewHistogram(name, name, metrics.DefLatencyBuckets)}
-}
-
-func (s *stats) observe(d time.Duration) {
-	sec := d.Seconds()
-	s.lat.Observe(sec)
-	s.n.Add(1)
-	for {
-		old := s.max.Load()
-		if sec <= math.Float64frombits(old) {
-			return
-		}
-		if s.max.CompareAndSwap(old, math.Float64bits(sec)) {
-			return
+// writeGrids writes the run's -grids grid files g0, g1, … into dir.
+func writeGrids(dir string, cfg config) ([]gridFile, error) {
+	files := make([]gridFile, cfg.grids)
+	for k := range files {
+		var err error
+		if files[k], err = writeGrid(dir, fmt.Sprintf("g%d", k), cfg, float64(k+1)); err != nil {
+			return nil, err
 		}
 	}
+	return files, nil
 }
 
-func (s *stats) line() string {
-	p50, c50 := s.lat.QuantileCapped(0.50)
-	p99, c99 := s.lat.QuantileCapped(0.99)
-	return fmt.Sprintf("p50=%s p99=%s max=%s (n=%d)",
-		fmtCapped(p50, c50), fmtCapped(p99, c99),
-		fmtSec(math.Float64frombits(s.max.Load())), s.n.Load())
-}
-
-func fmtSec(s float64) string {
-	return time.Duration(s * float64(time.Second)).Round(time.Microsecond).String()
-}
-
-// fmtCapped flags quantiles that landed in the histogram's +Inf
-// overflow bucket: the true value is only known to be ≥ the last
-// finite bound, so reporting it bare would understate the latency.
-func fmtCapped(s float64, capped bool) string {
-	if capped {
-		return "≥" + fmtSec(s) + "(capped)"
-	}
-	return fmtSec(s)
-}
-
-// firstErr records the first failure across all workers.
-type firstErr struct {
-	mu  sync.Mutex
-	err error
-}
-
-func (f *firstErr) set(err error) {
-	f.mu.Lock()
-	if f.err == nil {
-		f.err = err
-	}
-	f.mu.Unlock()
-}
-
-func (f *firstErr) get() error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.err
-}
-
-func writeGridFile(dir, name string, dim, level int, scale float64) (string, *compactsg.Grid, error) {
-	g, err := compactsg.New(dim, level)
+// writeGrid writes grid name, bumps scaled by scale, into dir.
+func writeGrid(dir, name string, cfg config, scale float64) (gridFile, error) {
+	g, err := compactsg.New(cfg.dim, cfg.level)
 	if err != nil {
-		return "", nil, err
+		return gridFile{}, err
 	}
-	g.Compress(func(x []float64) float64 {
-		p := scale
-		for _, v := range x {
-			p *= 4 * v * (1 - v)
-		}
-		return p
-	})
+	g.Compress(func(x []float64) float64 { return scale * bumps(x) })
 	path := filepath.Join(dir, name+".sg")
 	f, err := os.Create(path)
 	if err != nil {
-		return "", nil, err
+		return gridFile{}, err
 	}
 	if err := g.Save(f); err != nil {
 		f.Close()
-		return "", nil, err
+		return gridFile{}, err
 	}
-	return path, g, f.Close()
+	return gridFile{name, path, g}, f.Close()
 }
 
-func stress(cfg config) error {
-	goroutinesBefore := runtime.NumGoroutine()
-	dir, err := os.MkdirTemp("", "sgstress")
-	if err != nil {
-		return err
+// bumps is the product of 4x(1-x) over x's coordinates: the function
+// every mode's grids interpolate.
+func bumps(x []float64) float64 {
+	p := 1.0
+	for _, v := range x {
+		p *= 4 * v * (1 - v)
 	}
-	defer os.RemoveAll(dir)
+	return p
+}
 
-	srv := serve.New(serve.Config{
+// serveConfig is the server configuration the flags give every mode.
+func serveConfig(cfg config) serve.Config {
+	return serve.Config{
 		Workers:        cfg.workers,
 		MaxResident:    cfg.resident,
 		Coalesce:       true,
 		MaxBatch:       cfg.maxBatch,
 		BatchWait:      cfg.batchWait,
 		RequestTimeout: cfg.timeout,
-	})
+	}
+}
+
+func stress(cfg config) error {
+	h := newHarness(cfg, "default", fmt.Sprintf("a grid registered after every %d cold requests", cfg.churn))
+	dir, err := os.MkdirTemp("", "sgstress")
+	if err != nil {
+		return err
+	}
+	defer os.RemoveAll(dir)
+
+	srv := serve.New(serveConfig(cfg))
 	if cfg.loadDelay > 0 {
 		srv.Grids().LoadHook = func(string) error {
 			time.Sleep(cfg.loadDelay)
@@ -278,280 +233,121 @@ func stress(cfg config) error {
 		}
 	}
 
-	p := &pool{refs: make(map[string]*compactsg.Grid)}
-	hotName := "g0"
-	var hotRef *compactsg.Grid
-	for k := 0; k < cfg.grids; k++ {
-		name := fmt.Sprintf("g%d", k)
-		path, ref, err := writeGridFile(dir, name, cfg.dim, cfg.level, float64(k+1))
-		if err != nil {
+	files, err := writeGrids(dir, cfg)
+	if err != nil {
+		return err
+	}
+	for _, g := range files {
+		if err := srv.AddGrid(g.name, g.path); err != nil {
 			return err
-		}
-		if err := srv.AddGrid(name, path); err != nil {
-			return err
-		}
-		if k == 0 {
-			hotRef = ref
-		} else {
-			p.add(name, ref) // hot grid excluded from the churn pool
 		}
 	}
+	hot := files[0]
+	p := &pool{files: append([]gridFile(nil), files[1:]...)} // the hot grid never churns
 
-	reg := metrics.NewRegistry()
-	hotStats := newStats(reg, "hot_seconds")
-	coldStats := newStats(reg, "cold_seconds")
-	cancelStats := newStats(reg, "cancel_seconds")
+	hotStats, coldStats, cancelStats := newStats("hot"), newStats("cold"), newStats("cancel")
 	var cancelled, churned atomic.Uint64
-	fail := &firstErr{}
-
-	h := srv.Handler()
-	post := func(ctx context.Context, body string) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("POST", "/v1/eval", strings.NewReader(body)).WithContext(ctx)
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-	evalBody := func(name string, x []float64) string {
-		var b strings.Builder
-		fmt.Fprintf(&b, `{"grid":%q,"point":[`, name)
-		for t, v := range x {
-			if t > 0 {
-				b.WriteByte(',')
-			}
-			fmt.Fprintf(&b, "%g", v)
+	handler := srv.Handler()
+	c := client{h: handler, protocol: cfg.protocol, dim: cfg.dim}
+	// churn registers a brand-new grid file mid-flight.
+	churn := func() error {
+		k := churned.Add(1)
+		g, err := writeGrid(dir, fmt.Sprintf("churn%d", k), cfg, 100+float64(k))
+		if err == nil {
+			err = srv.AddGrid(g.name, g.path)
 		}
-		b.WriteString("]}")
-		return b.String()
-	}
-	randPoint := func(rng *rand.Rand, dim int) []float64 {
-		x := make([]float64, dim)
-		for t := range x {
-			x[t] = rng.Float64()
-		}
-		return x
-	}
-	postBin := func(ctx context.Context, frame []byte) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("POST", "/v1/eval/bin", strings.NewReader(string(frame))).WithContext(ctx)
-		req.Header.Set("Content-Type", serve.BinContentType)
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-	// useBin decides each request's wire protocol per -protocol.
-	useBin := func(rng *rand.Rand) bool {
-		switch cfg.protocol {
-		case "bin":
-			return true
-		case "json":
-			return false
-		}
-		return rng.Intn(2) == 1
-	}
-	// checkEval fires one request — JSON against the coalescing
-	// /v1/eval or a binary frame against /v1/eval/bin — and verifies
-	// status and value against the reference grid either way.
-	checkEval := func(ctx context.Context, name string, ref *compactsg.Grid, rng *rand.Rand, st *stats) error {
-		x := randPoint(rng, cfg.dim)
-		var got float64
-		if useBin(rng) {
-			start := time.Now()
-			rec := postBin(ctx, serve.AppendEvalFrame(nil, name, [][]float64{x}))
-			st.observe(time.Since(start))
-			if rec.Code != http.StatusOK {
-				return fmt.Errorf("eval/bin %s: status %d body %s", name, rec.Code, strings.TrimSpace(rec.Body.String()))
-			}
-			vals, err := serve.ParseValuesFrame(rec.Body.Bytes())
-			if err != nil || len(vals) != 1 {
-				return fmt.Errorf("eval/bin %s: bad response frame (%d bytes): %v", name, rec.Body.Len(), err)
-			}
-			got = vals[0]
-		} else {
-			start := time.Now()
-			rec := post(ctx, evalBody(name, x))
-			st.observe(time.Since(start))
-			if rec.Code != http.StatusOK {
-				return fmt.Errorf("eval %s: status %d body %s", name, rec.Code, strings.TrimSpace(rec.Body.String()))
-			}
-			var resp struct {
-				Value float64 `json:"value"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-				return fmt.Errorf("eval %s: bad body %q: %v", name, rec.Body, err)
-			}
-			got = resp.Value
-		}
-		want, err := ref.Evaluate(x)
 		if err != nil {
-			return err
+			return fmt.Errorf("churn: %w", err)
 		}
-		if math.Abs(got-want) > 1e-9 {
-			return fmt.Errorf("eval %s at %v: got %g want %g (served the wrong grid instance?)", name, x, got, want)
-		}
+		p.add(g)
 		return nil
 	}
 
-	ctx, stop := context.WithTimeout(context.Background(), cfg.duration)
-	defer stop()
-	var wg sync.WaitGroup
+	h.workers("hot", cfg.hot, 0, func(rng *rand.Rand, _ uint64) error {
+		r, err := c.eval(rng, hot.name, cfg.timeout)
+		if err != nil {
+			return err
+		}
+		hotStats.observe(r.took)
+		return verify(hot.ref, r)
+	})
+	h.workers("cold", cfg.cold, 1000, func(rng *rand.Rand, op uint64) error {
+		g := p.pick(rng)
+		r, err := c.eval(rng, g.name, cfg.timeout)
+		if err != nil {
+			return err
+		}
+		coldStats.observe(r.took)
+		if err := verify(g.ref, r); err != nil {
+			return err
+		}
+		if cfg.churn > 0 && op%uint64(cfg.churn) == 0 {
+			return churn()
+		}
+		return nil
+	})
+	h.workers("canceller", cfg.cancellers, 2000, func(rng *rand.Rand, _ uint64) error {
+		g := p.pick(rng)
+		// Deadlines from 0 to ~2× the batch linger: contexts die before
+		// enqueue, inside the open batch, after flush, and between the
+		// kernel's cache blocks while the request holds its lease and
+		// its pooled frame.
+		r, err := c.eval(rng, g.name, time.Duration(rng.Int63n(int64(2*cfg.batchWait)+1)))
+		if err != nil {
+			return err
+		}
+		cancelStats.observe(r.took)
+		if r.code == 499 || r.code == http.StatusServiceUnavailable {
+			cancelled.Add(1)
+			return nil
+		}
+		return verify(g.ref, r)
+	})
+	h.wg.Wait()
 
-	for w := 0; w < cfg.hot; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + int64(w)))
-			for ctx.Err() == nil {
-				rctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
-				err := checkEval(rctx, hotName, hotRef, rng, hotStats)
-				cancel()
-				if err != nil {
-					hotStats.errs.Add(1)
-					fail.set(fmt.Errorf("hot worker %d: %w", w, err))
-					return
-				}
-			}
-		}(w)
-	}
-	for w := 0; w < cfg.cold; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + 1000 + int64(w)))
-			for ctx.Err() == nil {
-				name, ref := p.pick(rng)
-				rctx, cancel := context.WithTimeout(context.Background(), cfg.timeout)
-				err := checkEval(rctx, name, ref, rng, coldStats)
-				cancel()
-				if err != nil {
-					coldStats.errs.Add(1)
-					fail.set(fmt.Errorf("cold worker %d: %w", w, err))
-					return
-				}
-			}
-		}(w)
-	}
-	for w := 0; w < cfg.cancellers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + 2000 + int64(w)))
-			for ctx.Err() == nil {
-				name, _ := p.pick(rng)
-				// Deadlines from 0 to ~2× the batch linger: contexts die
-				// before enqueue, inside the open batch, and after flush.
-				d := time.Duration(rng.Int63n(int64(2*cfg.batchWait) + 1))
-				rctx, cancel := context.WithTimeout(context.Background(), d)
-				start := time.Now()
-				var rec *httptest.ResponseRecorder
-				if useBin(rng) {
-					// Deadline expiry on the bin path stops the kernel
-					// between cache blocks while the request still holds
-					// its lease and its pooled frame.
-					rec = postBin(rctx, serve.AppendEvalFrame(nil, name, [][]float64{randPoint(rng, cfg.dim)}))
-				} else {
-					rec = post(rctx, evalBody(name, randPoint(rng, cfg.dim)))
-				}
-				cancelStats.observe(time.Since(start))
-				cancel()
-				switch rec.Code {
-				case http.StatusOK:
-				case 499, http.StatusServiceUnavailable: // cancelled / deadline
-					cancelled.Add(1)
-				default:
-					cancelStats.errs.Add(1)
-					fail.set(fmt.Errorf("canceller %d: eval %s: status %d body %s", w, name, rec.Code, strings.TrimSpace(rec.Body.String())))
-					return
-				}
-			}
-		}(w)
-	}
-	if cfg.churn > 0 {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := time.NewTicker(cfg.churn)
-			defer tick.Stop()
-			for k := 0; ; k++ {
-				select {
-				case <-ctx.Done():
-					return
-				case <-tick.C:
-				}
-				name := fmt.Sprintf("churn%d", k)
-				path, ref, err := writeGridFile(dir, name, cfg.dim, cfg.level, 100+float64(k))
-				if err != nil {
-					fail.set(fmt.Errorf("churn: %w", err))
-					return
-				}
-				if err := srv.AddGrid(name, path); err != nil {
-					fail.set(fmt.Errorf("churn: %w", err))
-					return
-				}
-				p.add(name, ref)
-				churned.Add(1)
-			}
-		}()
-	}
-
-	wg.Wait()
-	stop()
-
-	// Final sanity probes while the server is still up.
-	for _, url := range []string{"/v1/grids", "/metrics", "/healthz"} {
+	// Final probes while the server is still up.
+	for _, url := range []string{"/v1/grids", "/healthz"} {
 		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
+		handler.ServeHTTP(rec, httptest.NewRequest("GET", url, nil))
 		if rec.Code != http.StatusOK {
-			fail.set(fmt.Errorf("GET %s after stress: status %d", url, rec.Code))
+			h.fail(fmt.Errorf("GET %s after stress: status %d", url, rec.Code))
 		}
 	}
-	mrec := httptest.NewRecorder()
-	h.ServeHTTP(mrec, httptest.NewRequest("GET", "/metrics", nil))
-	mtext := mrec.Body.String()
+	m, err := scrape(handler)
+	if err != nil {
+		h.fail(err)
+	}
 	trec := httptest.NewRecorder()
-	h.ServeHTTP(trec, httptest.NewRequest("GET", "/debug/traces", nil))
+	handler.ServeHTTP(trec, httptest.NewRequest("GET", "/debug/traces", nil))
 	stageLine := summarizeTraces(trec.Body.Bytes())
 
-	if err := srv.Close(); err != nil {
-		return err
-	}
-	leak := checkGoroutines(goroutinesBefore)
-	var mapLeak error
-	if n := settleMappings(); n != 0 {
-		mapLeak = fmt.Errorf("closed server leaked %d snapshot mappings", n)
-	}
-
-	fmt.Printf("sgstress: %d grids (+%d churned in), resident bound %d, %s traffic, GOMAXPROCS=%d\n",
-		cfg.grids, churned.Load(), cfg.resident, cfg.duration, runtime.GOMAXPROCS(0))
-	fmt.Printf("  workers: hot=%d cold=%d cancellers=%d, load-delay=%s, churn every %s\n",
-		cfg.hot, cfg.cold, cfg.cancellers, cfg.loadDelay, cfg.churn)
-	fmt.Printf("  hot  %s: %s\n", hotName, hotStats.line())
+	err = h.end(srv.Close)
+	fmt.Printf("  %d grids (+%d churned in), resident bound %d, %s traffic, load-delay=%s, GOMAXPROCS=%d\n",
+		cfg.grids, churned.Load(), cfg.resident, cfg.duration, cfg.loadDelay, runtime.GOMAXPROCS(0))
+	fmt.Printf("  hot  %s: %s\n", hot.name, hotStats.line())
 	fmt.Printf("  cold grids: %s\n", coldStats.line())
 	fmt.Printf("  cancellers: %s, %d cancelled/timed out\n", cancelStats.line(), cancelled.Load())
-	fmt.Printf("  server: loads=%s load-waits=%s evictions=%s drains=%s resident=%s panics=%s\n",
-		metricValue(mtext, "sgserve_grid_loads_total"), metricValue(mtext, "sgserve_grid_load_waits_total"),
-		metricValue(mtext, "sgserve_grid_evictions_total"), metricValue(mtext, "sgserve_batcher_drains_total"),
-		metricValue(mtext, "sgserve_grids_resident"), metricValue(mtext, "sgserve_panics_total"))
-	fmt.Printf("  loads by mode: mmap=%s copy=%s, failures=%s, mappings now=%d\n",
-		metricValueOr(mtext, `sgserve_grid_load_mode_total{mode="mmap"}`, "0"),
-		metricValueOr(mtext, `sgserve_grid_load_mode_total{mode="copy"}`, "0"),
-		metricValue(mtext, "sgserve_grid_load_failures_total"), core.ActiveMappings())
+	fmt.Printf("  server: loads=%v load-waits=%v evictions=%v drains=%v resident=%v panics=%v\n",
+		m["sgserve_grid_loads_total"], m["sgserve_grid_load_waits_total"], m["sgserve_grid_evictions_total"],
+		m["sgserve_batcher_drains_total"], m["sgserve_grids_resident"], m["sgserve_panics_total"])
+	fmt.Printf("  loads by mode: mmap=%v copy=%v, failures=%v\n",
+		m[`sgserve_grid_load_mode_total{mode="mmap"}`], m[`sgserve_grid_load_mode_total{mode="copy"}`],
+		m["sgserve_grid_load_failures_total"])
 	if stageLine != "" {
 		fmt.Printf("  stages: %s\n", stageLine)
 	}
-
-	if err := fail.get(); err != nil {
+	if err != nil {
 		return err
-	}
-	if leak != nil {
-		return leak
-	}
-	if mapLeak != nil {
-		return mapLeak
 	}
 	if hotStats.n.Load() == 0 || coldStats.n.Load() == 0 {
 		return fmt.Errorf("a worker population made no requests; stress did not run")
 	}
-	if metricValue(mtext, "sgserve_grid_evictions_total") == "0" {
+	if cfg.churn > 0 && churned.Load() == 0 {
+		return fmt.Errorf("no grid was churned in: the schedule did not run (raise -duration or lower -churn)")
+	}
+	if ev, err := m.need("sgserve_grid_evictions_total"); err != nil {
+		return err
+	} else if ev == 0 {
 		return fmt.Errorf("no evictions happened; harness is not exercising churn (raise -grids or -cold)")
 	}
 	if cfg.assertP50 > 0 {
@@ -581,36 +377,6 @@ func stress(cfg config) error {
 	}
 	fmt.Println("  PASS")
 	return nil
-}
-
-// settleMappings waits for the snapshot mapping count to drain to zero
-// and returns the count it settled at, with checkGoroutines' tolerance.
-func settleMappings() int64 {
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		n := core.ActiveMappings()
-		if n == 0 || time.Now().After(deadline) {
-			return n
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-}
-
-// checkGoroutines waits for the goroutine count to settle back near the
-// pre-server baseline and reports a leak (with stacks) if it does not.
-func checkGoroutines(baseline int) error {
-	deadline := time.Now().Add(5 * time.Second)
-	var now int
-	for time.Now().Before(deadline) {
-		now = runtime.NumGoroutine()
-		if now <= baseline+2 {
-			return nil
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-	buf := make([]byte, 1<<18)
-	n := runtime.Stack(buf, true)
-	return fmt.Errorf("goroutine leak: %d before stress, %d after close\n%s", baseline, now, buf[:n])
 }
 
 // summarizeTraces turns the /debug/traces payload into a one-line
@@ -646,25 +412,4 @@ func summarizeTraces(data []byte) string {
 		return fmt.Sprintf("%s p50=%s p99=%s", name, fmtSec(q(0.50)), fmtSec(q(0.99)))
 	}
 	return fmt.Sprintf("%s | %s (%d traced requests)", part("queue_wait", qw), part("eval", ev), len(traces))
-}
-
-var metricLine = regexp.MustCompile(`(?m)^(\S+) (\S+)$`)
-
-// metricValue extracts one unlabeled sample from the exposition text.
-func metricValue(text, name string) string {
-	for _, m := range metricLine.FindAllStringSubmatch(text, -1) {
-		if m[1] == name {
-			return m[2]
-		}
-	}
-	return "?"
-}
-
-// metricValueOr is metricValue with a default for series that only
-// materialize once incremented (labeled counter-vec children).
-func metricValueOr(text, name, fallback string) string {
-	if v := metricValue(text, name); v != "?" {
-		return v
-	}
-	return fallback
 }

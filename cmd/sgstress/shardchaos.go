@@ -1,6 +1,6 @@
 // Shard-chaos scenario: a three-shard sgproxy deployment under
 // continuous verified traffic while one shard is hard-killed and later
-// replaced. Everything runs in this process so the whole scenario —
+// replaced, each after a seeded count of verified requests. Everything runs in this process so the whole scenario —
 // proxy routing, upstream pooling, breaker trips, topology swap — is
 // visible to the race detector; the proxy still reaches the shards
 // over real TCP, so connection death behaves like production. The
@@ -12,7 +12,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net"
 	"net/http"
@@ -20,14 +19,10 @@ import (
 	"os"
 	"runtime"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
-	"compactsg"
-	"compactsg/internal/core"
 	"compactsg/internal/serve"
-	"compactsg/internal/serve/metrics"
 	"compactsg/internal/shard"
 )
 
@@ -41,18 +36,13 @@ type shardProc struct {
 	hs   *http.Server
 }
 
-func startShard(id string, gridFiles map[string]string, cfg config) (*shardProc, error) {
-	srv := serve.New(serve.Config{
-		Workers:        cfg.workers,
-		MaxResident:    len(gridFiles), // chaos targets shard death, not LRU churn
-		Coalesce:       true,
-		MaxBatch:       cfg.maxBatch,
-		BatchWait:      cfg.batchWait,
-		RequestTimeout: cfg.timeout,
-		ShardID:        id,
-	})
-	for name, path := range gridFiles {
-		if err := srv.AddGrid(name, path); err != nil {
+func startShard(id string, files []gridFile, cfg config) (*shardProc, error) {
+	sc := serveConfig(cfg)
+	sc.MaxResident = len(files) // chaos targets shard death, not LRU churn
+	sc.ShardID = id
+	srv := serve.New(sc)
+	for _, g := range files {
+		if err := srv.AddGrid(g.name, g.path); err != nil {
 			srv.Close()
 			return nil, err
 		}
@@ -79,7 +69,8 @@ func (s *shardProc) kill() {
 }
 
 func shardChaos(cfg config) error {
-	goroutinesBefore := runtime.NumGoroutine()
+	sched := newSchedule(cfg.seed)
+	h := newHarness(cfg, "shard-chaos", fmt.Sprintf("shard s1 killed after verified request %d, replaced after %d", sched.kill, sched.replace))
 	dir, err := os.MkdirTemp("", "sgstress-shard")
 	if err != nil {
 		return err
@@ -88,23 +79,14 @@ func shardChaos(cfg config) error {
 
 	// One grid file set shared by every shard (in production each shard
 	// registers the same artifact store).
-	gridFiles := make(map[string]string, cfg.grids)
-	refs := make(map[string]*compactsg.Grid, cfg.grids)
-	names := make([]string, 0, cfg.grids)
-	for k := 0; k < cfg.grids; k++ {
-		name := fmt.Sprintf("g%d", k)
-		path, ref, err := writeGridFile(dir, name, cfg.dim, cfg.level, float64(k+1))
-		if err != nil {
-			return err
-		}
-		gridFiles[name] = path
-		refs[name] = ref
-		names = append(names, name)
+	files, err := writeGrids(dir, cfg)
+	if err != nil {
+		return err
 	}
 
 	shards := make([]*shardProc, cfg.shardCount)
 	for i := range shards {
-		if shards[i], err = startShard(fmt.Sprintf("s%d", i), gridFiles, cfg); err != nil {
+		if shards[i], err = startShard(fmt.Sprintf("s%d", i), files, cfg); err != nil {
 			return err
 		}
 	}
@@ -125,149 +107,73 @@ func shardChaos(cfg config) error {
 		return err
 	}
 	p.Start()
-	h := p.Handler()
+	c := client{h: p.Handler(), protocol: cfg.protocol, dim: cfg.dim}
 
-	post := func(path, contentType, reqID string, body []byte) *httptest.ResponseRecorder {
-		req := httptest.NewRequest("POST", path, strings.NewReader(string(body)))
-		req.Header.Set("Content-Type", contentType)
-		if reqID != "" {
-			req.Header.Set("X-Request-Id", reqID)
+	trafficStats := newStats("chaos")
+	var verified, failed atomic.Uint64
+	killAt, replaceAt := make(chan struct{}), make(chan struct{})
+
+	// Traffic: every value is verified against the reference grid. A
+	// non-200 during chaos is budgeted; a wrong value never is.
+	h.workers("traffic", cfg.hot+cfg.cold, 0, func(rng *rand.Rand, _ uint64) error {
+		g := files[rng.Intn(len(files))]
+		r, err := c.eval(rng, g.name, cfg.timeout)
+		if err != nil {
+			return err
 		}
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
-	}
-	scrapeProxy := func() string {
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
-		return rec.Body.String()
-	}
+		trafficStats.observe(r.took)
+		if r.code != http.StatusOK {
+			failed.Add(1)
+			return nil
+		}
+		if err := verify(g.ref, r); err != nil {
+			return fmt.Errorf("%w — failover served a wrong value", err)
+		}
+		switch verified.Add(1) {
+		case sched.kill:
+			close(killAt)
+		case sched.replace:
+			close(replaceAt)
+		}
+		return nil
+	})
 
-	reg := metrics.NewRegistry()
-	trafficStats := newStats(reg, "chaos_seconds")
-	var okCount, errCount, reqCount atomic.Uint64
-	fail := &firstErr{}
-
-	ctx, stop := context.WithTimeout(context.Background(), cfg.duration)
-	defer stop()
-	var wg sync.WaitGroup
-
-	// Traffic: every worker verifies every value against the reference
-	// grid. A non-200 during chaos is budgeted; a wrong value never is.
-	workerCount := cfg.hot + cfg.cold
-	for w := 0; w < workerCount; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + int64(w)))
-			for ctx.Err() == nil {
-				name := names[rng.Intn(len(names))]
-				ref := refs[name]
-				x := make([]float64, cfg.dim)
-				for t := range x {
-					x[t] = rng.Float64()
-				}
-				reqID := fmt.Sprintf("chaos-%d-%d", w, reqCount.Add(1))
-				var got float64
-				var code int
-				var bodyText string
-				start := time.Now()
-				switch rng.Intn(3) {
-				case 0: // binary frame, forwarded verbatim
-					rec := post("/v1/eval/bin", serve.BinContentType, reqID,
-						serve.AppendEvalFrame(nil, name, [][]float64{x}))
-					code, bodyText = rec.Code, rec.Body.String()
-					if code == http.StatusOK {
-						vals, err := serve.ParseValuesFrame(rec.Body.Bytes())
-						if err != nil || len(vals) != 1 {
-							fail.set(fmt.Errorf("worker %d: bad values frame (%d bytes): %v", w, rec.Body.Len(), err))
-							return
-						}
-						got = vals[0]
-					}
-				case 1: // JSON single point, re-encoded at the proxy
-					body, _ := json.Marshal(map[string]any{"grid": name, "point": x})
-					rec := post("/v1/eval", "application/json", reqID, body)
-					code, bodyText = rec.Code, rec.Body.String()
-					if code == http.StatusOK {
-						var resp struct {
-							Value float64 `json:"value"`
-						}
-						if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-							fail.set(fmt.Errorf("worker %d: bad eval body %q: %v", w, bodyText, err))
-							return
-						}
-						got = resp.Value
-					}
-				default: // JSON batch (the point is verified via its slot)
-					body, _ := json.Marshal(map[string]any{"grid": name, "points": [][]float64{x, x}})
-					rec := post("/v1/eval/batch", "application/json", reqID, body)
-					code, bodyText = rec.Code, rec.Body.String()
-					if code == http.StatusOK {
-						var resp struct {
-							Values []float64 `json:"values"`
-						}
-						if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil || len(resp.Values) != 2 {
-							fail.set(fmt.Errorf("worker %d: bad batch body %q: %v", w, bodyText, err))
-							return
-						}
-						if resp.Values[0] != resp.Values[1] {
-							fail.set(fmt.Errorf("worker %d: identical points answered %g and %g", w, resp.Values[0], resp.Values[1]))
-							return
-						}
-						got = resp.Values[0]
-					}
-				}
-				trafficStats.observe(time.Since(start))
-				if code != http.StatusOK {
-					errCount.Add(1)
-					continue
-				}
-				want, err := ref.Evaluate(x)
-				if err != nil {
-					fail.set(err)
-					return
-				}
-				if math.Abs(got-want) > 1e-9 {
-					fail.set(fmt.Errorf("worker %d: grid %s at %v: got %g want %g — failover served a wrong value", w, name, x, got, want))
-					return
-				}
-				okCount.Add(1)
-			}
-		}(w)
-	}
-
-	// Chaos controller: kill the middle shard a third in, resurrect it
-	// (same ID, fresh port) another third in, and require the proxy to
-	// route traffic to the replacement within 2s of the epoch bump.
+	// Chaos controller: kill the victim at its scheduled request,
+	// resurrect it (same ID, fresh port) at the next, and require the
+	// proxy to route traffic to the replacement within 2s of the epoch
+	// bump.
 	victim := shards[1]
 	var replacement *shardProc
 	var recoveryTook time.Duration
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		third := cfg.duration / 3
+	h.spawn(func() error {
 		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(third):
+		case <-h.ctx.Done():
+			return nil
+		case <-killAt:
 		}
 		victim.kill()
-
 		select {
-		case <-ctx.Done():
-			return
-		case <-time.After(third):
+		case <-h.ctx.Done():
+			return nil
+		case <-replaceAt:
 		}
-		repl, err := startShard(victim.id, gridFiles, cfg)
+		repl, err := startShard(victim.id, files, cfg)
 		if err != nil {
-			fail.set(fmt.Errorf("restarting shard %s: %w", victim.id, err))
-			return
+			return fmt.Errorf("restarting shard %s: %w", victim.id, err)
 		}
 		replacement = repl
 		victimSeries := fmt.Sprintf(`sgproxy_upstream_requests_total{shard=%q}`, victim.id)
-		before := metricValue(scrapeProxy(), victimSeries)
-
+		upstream := func() (float64, error) {
+			m, err := scrape(c.h)
+			if err != nil {
+				return 0, err
+			}
+			return m.need(victimSeries)
+		}
+		before, err := upstream()
+		if err != nil {
+			return err
+		}
 		newTopo := shard.Topology{Epoch: 2}
 		for _, s := range shards {
 			a := s.addr
@@ -278,37 +184,34 @@ func shardChaos(cfg config) error {
 		}
 		body, _ := json.Marshal(newTopo)
 		bump := time.Now()
-		rec := post("/admin/topology", "application/json", "", body)
-		if rec.Code != http.StatusOK {
-			fail.set(fmt.Errorf("topology bump: status %d body %s", rec.Code, strings.TrimSpace(rec.Body.String())))
-			return
+		if rec := post(context.Background(), c.h, "/admin/topology", "application/json", body); rec.Code != http.StatusOK {
+			return fmt.Errorf("topology bump: status %d body %s", rec.Code, strings.TrimSpace(rec.Body.String()))
 		}
 		for {
-			if now := metricValue(scrapeProxy(), victimSeries); now != before && now != "?" {
+			now, err := upstream()
+			if err != nil {
+				return err
+			}
+			if now != before {
 				recoveryTook = time.Since(bump)
-				return
+				return nil
 			}
 			if time.Since(bump) > 2*time.Second {
-				fail.set(fmt.Errorf("replacement shard %s got no traffic within 2s of the epoch bump", victim.id))
-				return
+				return fmt.Errorf("replacement shard %s got no traffic within 2s of the epoch bump", victim.id)
 			}
 			select {
-			case <-ctx.Done():
-				fail.set(fmt.Errorf("run ended before the replacement shard saw traffic (raise -duration)"))
-				return
+			case <-h.ctx.Done():
+				return fmt.Errorf("run ended before the replacement shard saw traffic (raise -duration)")
 			case <-time.After(20 * time.Millisecond):
 			}
 		}
-	}()
-
-	wg.Wait()
-	stop()
+	})
+	h.wg.Wait()
 
 	// The proxy must have converged: epoch 2, every shard available.
 	hrec := httptest.NewRecorder()
-	h.ServeHTTP(hrec, httptest.NewRequest("GET", "/healthz", nil))
+	c.h.ServeHTTP(hrec, httptest.NewRequest("GET", "/healthz", nil))
 	var health struct {
-		Status string `json:"status"`
 		Epoch  uint64 `json:"epoch"`
 		Shards []struct {
 			ID          string `json:"id"`
@@ -317,70 +220,58 @@ func shardChaos(cfg config) error {
 		} `json:"shards"`
 	}
 	if err := json.Unmarshal(hrec.Body.Bytes(), &health); err != nil {
-		fail.set(fmt.Errorf("proxy /healthz unparseable: %v", err))
-	} else {
+		h.fail(fmt.Errorf("proxy /healthz unparseable: %v", err))
+	} else if replacement != nil {
 		if health.Epoch != 2 {
-			fail.set(fmt.Errorf("proxy still routes epoch %d after the bump", health.Epoch))
+			h.fail(fmt.Errorf("proxy still routes epoch %d after the bump", health.Epoch))
 		}
 		for _, s := range health.Shards {
 			if !s.Healthy || s.BreakerOpen {
-				fail.set(fmt.Errorf("shard %s not recovered after chaos: healthy=%v breaker_open=%v", s.ID, s.Healthy, s.BreakerOpen))
+				h.fail(fmt.Errorf("shard %s not recovered after chaos: healthy=%v breaker_open=%v", s.ID, s.Healthy, s.BreakerOpen))
 			}
 		}
 	}
-	mtext := scrapeProxy()
-
-	p.Close()
-	shards[0].kill()
-	shards[2].kill()
-	if replacement != nil {
-		replacement.kill()
-	}
-	leak := checkGoroutines(goroutinesBefore)
-	var mapLeak error
-	if n := settleMappings(); n != 0 {
-		mapLeak = fmt.Errorf("closed shards leaked %d snapshot mappings", n)
+	m, err := scrape(c.h)
+	if err != nil {
+		h.fail(err)
 	}
 
-	ok, errs := okCount.Load(), errCount.Load()
-	total := ok + errs
-	fmt.Printf("sgstress: shard chaos — %d shards, replicas=%d, %d grids, %s traffic, GOMAXPROCS=%d\n",
+	err = h.end(func() error {
+		p.Close()
+		for _, s := range append(shards, replacement) { // killing twice is harmless
+			if s != nil {
+				s.kill()
+			}
+		}
+		return nil
+	})
+	ok, errs := verified.Load(), failed.Load()
+	fmt.Printf("  %d shards, replicas=%d, %d grids, %s traffic, GOMAXPROCS=%d\n",
 		cfg.shardCount, cfg.replicas, cfg.grids, cfg.duration, runtime.GOMAXPROCS(0))
 	fmt.Printf("  traffic: %s\n", trafficStats.line())
-	fmt.Printf("  requests: %d ok, %d failed (shard killed at T+%s, replaced at T+%s)\n",
-		ok, errs, cfg.duration/3, 2*cfg.duration/3)
+	fmt.Printf("  requests: %d ok, %d failed\n", ok, errs)
 	if recoveryTook > 0 {
 		fmt.Printf("  recovery: replacement serving %s after the epoch bump\n", recoveryTook.Round(time.Millisecond))
 	}
-	fmt.Printf("  proxy: retries=%s failovers=%s upstream-failures(victim)=%s open-conns=%s\n",
-		metricValue(mtext, "sgproxy_retries_total"),
-		metricValue(mtext, "sgproxy_failovers_total"),
-		metricValueOr(mtext, fmt.Sprintf(`sgproxy_upstream_failures_total{shard=%q}`, victim.id), "0"),
-		metricValue(mtext, "sgproxy_upstream_open_connections"))
-	fmt.Printf("  mappings now=%d\n", core.ActiveMappings())
-
-	if err := fail.get(); err != nil {
+	fmt.Printf("  proxy: retries=%v failovers=%v upstream-failures(victim)=%v open-conns=%v\n",
+		m["sgproxy_retries_total"], m["sgproxy_failovers_total"],
+		m[fmt.Sprintf(`sgproxy_upstream_failures_total{shard=%q}`, victim.id)], m["sgproxy_upstream_open_connections"])
+	if err != nil {
 		return err
 	}
-	if leak != nil {
-		return leak
-	}
-	if mapLeak != nil {
-		return mapLeak
-	}
-	if ok == 0 {
-		return fmt.Errorf("no request succeeded; chaos never served traffic")
+	if recoveryTook == 0 {
+		return fmt.Errorf("the run ended before the shard was killed and replaced: the schedule did not run (raise -duration)")
 	}
 	// With -replicas failover candidates every kill-window request gets
 	// retried onto a live shard, so client-visible failures should be a
 	// thin sliver: the in-flight requests at the instant of the kill
-	// plus breaker races. Budget 1%% of traffic (min 20 requests).
-	budget := total / 100
+	// plus breaker races. Budget 1% of traffic (min 20 requests).
+	budget := (ok + errs) / 100
 	if budget < 20 {
 		budget = 20
 	}
 	if errs > budget {
-		return fmt.Errorf("%d of %d requests failed; exceeds the failover budget of %d — retries are not absorbing the shard death", errs, total, budget)
+		return fmt.Errorf("%d of %d requests failed; exceeds the failover budget of %d — retries are not absorbing the shard death", errs, ok+errs, budget)
 	}
 	fmt.Println("  PASS")
 	return nil

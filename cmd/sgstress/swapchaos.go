@@ -21,7 +21,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -58,21 +57,14 @@ func (vt *versionTable) add(v uint64, g *compactsg.Grid) error {
 	return nil
 }
 
-func (vt *versionTable) len() int {
-	vt.mu.RLock()
-	defer vt.mu.RUnlock()
-	return len(vt.vers)
-}
-
-// match reports whether got agrees with any installed version at x.
+// match reports whether some installed version answers r bit for bit.
 // Old versions stay acceptable: a response that raced a swap was
 // legitimately served by a still-leased displaced instance.
-func (vt *versionTable) match(x []float64, got float64) bool {
+func (vt *versionTable) match(r reply) bool {
 	vt.mu.RLock()
 	defer vt.mu.RUnlock()
 	for _, ref := range vt.refs {
-		want, err := ref.Evaluate(x)
-		if err == nil && math.Abs(got-want) <= 1e-9 {
+		if verify(ref, r) == nil {
 			return true
 		}
 	}
@@ -80,7 +72,7 @@ func (vt *versionTable) match(x []float64, got float64) bool {
 }
 
 func swapChaos(cfg config) error {
-	goroutinesBefore := runtime.NumGoroutine()
+	h := newHarness(cfg, "swap-chaos", "none: swaps follow every 32-point observation batch")
 	dir, err := os.MkdirTemp("", "sgstress-swap")
 	if err != nil {
 		return err
@@ -88,30 +80,20 @@ func swapChaos(cfg config) error {
 	defer os.RemoveAll(dir)
 
 	const name = "live"
-	srv := serve.New(serve.Config{
-		Workers:        cfg.workers,
-		Coalesce:       true,
-		MaxBatch:       cfg.maxBatch,
-		BatchWait:      cfg.batchWait,
-		RequestTimeout: cfg.timeout,
-		Online: serve.OnlineConfig{
-			Enabled:     true,
-			InitLevel:   2,
-			MaxLevel:    cfg.level,
-			RefineEps:   1e-9, // refine everything the budget allows
-			RefineMax:   512,
-			SnapshotDir: dir,
-		},
-	})
-	h := srv.Handler()
-
-	f := func(x []float64) float64 {
-		p := 1.0
-		for _, v := range x {
-			p *= 4 * v * (1 - v)
-		}
-		return p
+	sc := serveConfig(cfg)
+	sc.MaxResident = 0 // the one grid swaps; -resident does not apply
+	sc.Online = serve.OnlineConfig{
+		Enabled:     true,
+		InitLevel:   2,
+		MaxLevel:    cfg.level,
+		RefineEps:   1e-9, // refine everything the budget allows
+		RefineMax:   512,
+		SnapshotDir: dir,
 	}
+	srv := serve.New(sc)
+	handler := srv.Handler()
+	c := client{h: handler, protocol: cfg.protocol, dim: cfg.dim}
+
 	// Every lattice point of the level cap's regular grid is a valid
 	// observation target for the model.
 	desc, err := core.NewDescriptor(cfg.dim, cfg.level)
@@ -126,206 +108,114 @@ func swapChaos(cfg config) error {
 	})
 
 	vt := &versionTable{}
-	fail := &firstErr{}
 	var observed, swaps, evals atomic.Uint64
 
-	postJSON := func(url string, body any) *httptest.ResponseRecorder {
+	postJSON := func(url string, body any) (*httptest.ResponseRecorder, error) {
 		raw, _ := json.Marshal(body)
-		req := httptest.NewRequest("POST", url, strings.NewReader(string(raw)))
-		req.Header.Set("Content-Type", "application/json")
-		rec := httptest.NewRecorder()
-		h.ServeHTTP(rec, req)
-		return rec
+		rec := post(context.Background(), handler, url, "application/json", raw)
+		if rec.Code != http.StatusOK {
+			return rec, fmt.Errorf("POST %s: status %d body %s", url, rec.Code, strings.TrimSpace(rec.Body.String()))
+		}
+		return rec, nil
 	}
 	observeBatch := func(rng *rand.Rand, n int) error {
 		pts := make([][]float64, n)
 		vals := make([]float64, n)
 		for k := range pts {
 			pts[k] = validPts[rng.Intn(len(validPts))]
-			vals[k] = f(pts[k])
+			vals[k] = bumps(pts[k])
 		}
-		rec := postJSON("/v1/grids/"+name+"/observe", map[string]any{"points": pts, "values": vals})
-		if rec.Code != http.StatusOK {
-			return fmt.Errorf("observe: status %d body %s", rec.Code, strings.TrimSpace(rec.Body.String()))
+		if _, err := postJSON("/v1/grids/"+name+"/observe", map[string]any{"points": pts, "values": vals}); err != nil {
+			return err
 		}
 		observed.Add(uint64(n))
 		return nil
 	}
 
-	ctx, stop := context.WithTimeout(context.Background(), cfg.duration)
-	defer stop()
-	var wg sync.WaitGroup
-
 	// Steering: observe → refine → verify the swap → decode the new
 	// snapshot into the ground-truth table.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(cfg.seed))
-		var lastVersion uint64
-		for ctx.Err() == nil {
-			if err := observeBatch(rng, 32); err != nil {
-				fail.set(fmt.Errorf("steering: %w", err))
-				return
-			}
-			rec := postJSON("/v1/grids/"+name+"/refine", struct{}{})
-			if rec.Code != http.StatusOK {
-				fail.set(fmt.Errorf("steering: refine status %d body %s", rec.Code, strings.TrimSpace(rec.Body.String())))
-				return
-			}
-			var rr struct {
-				Swapped bool   `json:"swapped"`
-				Version uint64 `json:"version"`
-			}
-			if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
-				fail.set(fmt.Errorf("steering: refine body %q: %w", rec.Body, err))
-				return
-			}
-			if !rr.Swapped {
-				continue
-			}
-			if rr.Version <= lastVersion {
-				fail.set(fmt.Errorf("steering: swap version %d not after %d", rr.Version, lastVersion))
-				return
-			}
-			lastVersion = rr.Version
-			// Decode the fresh snapshot by copy — an independent read of
-			// the same bytes the server just mapped.
-			snap := filepath.Join(dir, fmt.Sprintf("%s.v%d.sg", name, rr.Version))
-			sf, err := os.Open(snap)
-			if err != nil {
-				fail.set(fmt.Errorf("steering: swapped snapshot missing: %w", err))
-				return
-			}
-			ref, err := compactsg.LoadAny(sf)
-			sf.Close()
-			if err != nil {
-				fail.set(fmt.Errorf("steering: decoding %s: %w", snap, err))
-				return
-			}
-			if err := vt.add(rr.Version, ref); err != nil {
-				fail.set(err)
-				return
-			}
-			swaps.Add(1)
+	h.workers("steering", 1, 0, func(rng *rand.Rand, _ uint64) error {
+		if err := observeBatch(rng, 32); err != nil {
+			return err
 		}
-	}()
+		rec, err := postJSON("/v1/grids/"+name+"/refine", struct{}{})
+		if err != nil {
+			return err
+		}
+		var rr struct {
+			Swapped bool   `json:"swapped"`
+			Version uint64 `json:"version"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &rr); err != nil {
+			return fmt.Errorf("refine body %q: %w", rec.Body, err)
+		}
+		if !rr.Swapped {
+			return nil
+		}
+		// Decode the fresh snapshot by copy — an independent read of
+		// the same bytes the server just mapped.
+		snap := filepath.Join(dir, fmt.Sprintf("%s.v%d.sg", name, rr.Version))
+		sf, err := os.Open(snap)
+		if err != nil {
+			return fmt.Errorf("swapped snapshot missing: %w", err)
+		}
+		ref, err := compactsg.LoadAny(sf)
+		sf.Close()
+		if err != nil {
+			return fmt.Errorf("decoding %s: %w", snap, err)
+		}
+		if err := vt.add(rr.Version, ref); err != nil { // versions strictly increase
+			return err
+		}
+		swaps.Add(1)
+		return nil
+	})
 
 	// Concurrent observer: keeps the model's write side contended while
 	// refines run.
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		rng := rand.New(rand.NewSource(cfg.seed + 500))
-		for ctx.Err() == nil {
-			if err := observeBatch(rng, 16); err != nil {
-				fail.set(fmt.Errorf("observer: %w", err))
-				return
+	h.workers("observer", 1, 500, func(rng *rand.Rand, _ uint64) error {
+		return observeBatch(rng, 16)
+	})
+
+	// Eval workers: every answer must be some installed version's value.
+	h.workers("eval", cfg.hot+cfg.cold, 1000, func(rng *rand.Rand, _ uint64) error {
+		if swaps.Load() == 0 {
+			// Nothing installed yet; the grid may not exist.
+			time.Sleep(time.Millisecond)
+			return nil
+		}
+		r, err := c.eval(rng, name, cfg.timeout)
+		if err != nil {
+			return err
+		}
+		if err := r.ok(); err != nil {
+			return err
+		}
+		evals.Add(1)
+		// A fresh swap can serve before the steering worker (which
+		// learns the version from the refine response) has decoded its
+		// snapshot into the table. Give the table a moment to catch up
+		// before calling it torn.
+		for deadline := time.Now().Add(2 * time.Second); !vt.match(r); time.Sleep(2 * time.Millisecond) {
+			if time.Now().After(deadline) {
+				return fmt.Errorf("values %v at %v match NO installed version (torn swap?)", r.vals, r.xs)
 			}
 		}
-	}()
+		return nil
+	})
+	h.wg.Wait()
 
-	// Eval workers: mixed protocol, every answer must be some installed
-	// version's value.
-	evalWorkers := cfg.hot + cfg.cold
-	for w := 0; w < evalWorkers; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			rng := rand.New(rand.NewSource(cfg.seed + 1000 + int64(w)))
-			for ctx.Err() == nil {
-				if vt.len() == 0 {
-					// Nothing installed yet; the grid may not exist.
-					time.Sleep(time.Millisecond)
-					continue
-				}
-				x := make([]float64, cfg.dim)
-				for t := range x {
-					x[t] = rng.Float64()
-				}
-				var got float64
-				if rng.Intn(2) == 1 {
-					req := httptest.NewRequest("POST", "/v1/eval/bin",
-						strings.NewReader(string(serve.AppendEvalFrame(nil, name, [][]float64{x}))))
-					req.Header.Set("Content-Type", serve.BinContentType)
-					rec := httptest.NewRecorder()
-					h.ServeHTTP(rec, req)
-					if rec.Code != http.StatusOK {
-						fail.set(fmt.Errorf("eval worker %d: bin status %d body %s", w, rec.Code, strings.TrimSpace(rec.Body.String())))
-						return
-					}
-					vals, err := serve.ParseValuesFrame(rec.Body.Bytes())
-					if err != nil || len(vals) != 1 {
-						fail.set(fmt.Errorf("eval worker %d: bad values frame: %v", w, err))
-						return
-					}
-					got = vals[0]
-				} else {
-					rec := postJSON("/v1/eval", map[string]any{"grid": name, "point": x})
-					if rec.Code != http.StatusOK {
-						fail.set(fmt.Errorf("eval worker %d: status %d body %s", w, rec.Code, strings.TrimSpace(rec.Body.String())))
-						return
-					}
-					var resp struct {
-						Value float64 `json:"value"`
-					}
-					if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
-						fail.set(fmt.Errorf("eval worker %d: bad body %q: %v", w, rec.Body, err))
-						return
-					}
-					got = resp.Value
-				}
-				evals.Add(1)
-				if !vt.match(x, got) {
-					// A fresh swap can serve before the steering goroutine
-					// (which learns the version from the refine response)
-					// has decoded its snapshot into the table. Give the
-					// table a moment to catch up before calling it torn.
-					deadline := time.Now().Add(2 * time.Second)
-					for !vt.match(x, got) {
-						if time.Now().After(deadline) {
-							fail.set(fmt.Errorf("eval worker %d: value %g at %v matches NO installed version (torn swap?)", w, got, x))
-							return
-						}
-						time.Sleep(2 * time.Millisecond)
-					}
-				}
-			}
-		}(w)
+	m, err := scrape(handler)
+	if err != nil {
+		h.fail(err)
 	}
-
-	wg.Wait()
-	stop()
-
-	mrec := httptest.NewRecorder()
-	h.ServeHTTP(mrec, httptest.NewRequest("GET", "/metrics", nil))
-	mtext := mrec.Body.String()
-
-	if err := srv.Close(); err != nil {
+	err = h.end(srv.Close)
+	fmt.Printf("  %s, dim=%d level-cap=%d, GOMAXPROCS=%d\n", cfg.duration, cfg.dim, cfg.level, runtime.GOMAXPROCS(0))
+	fmt.Printf("  observed=%d evals=%d swaps=%d (metrics: observations=%v swaps=%v version=%v)\n",
+		observed.Load(), evals.Load(), swaps.Load(), m["sgserve_observations_total"],
+		m["sgserve_grid_swaps_total"], m[fmt.Sprintf("sgserve_grid_version{grid=%q}", name)])
+	if err != nil {
 		return err
-	}
-	leak := checkGoroutines(goroutinesBefore)
-	var mapLeak error
-	if n := settleMappings(); n != 0 {
-		mapLeak = fmt.Errorf("closed server leaked %d snapshot mappings", n)
-	}
-
-	fmt.Printf("sgstress: swap-chaos %s, dim=%d level-cap=%d, GOMAXPROCS=%d\n",
-		cfg.duration, cfg.dim, cfg.level, runtime.GOMAXPROCS(0))
-	fmt.Printf("  observed=%d evals=%d swaps=%d (metrics: observations=%s swaps=%s version=%s)\n",
-		observed.Load(), evals.Load(), swaps.Load(),
-		metricValueOr(mtext, "sgserve_observations_total", "0"),
-		metricValueOr(mtext, "sgserve_grid_swaps_total", "0"),
-		metricValueOr(mtext, fmt.Sprintf("sgserve_grid_version{grid=%q}", name), "0"))
-
-	if err := fail.get(); err != nil {
-		return err
-	}
-	if leak != nil {
-		return leak
-	}
-	if mapLeak != nil {
-		return mapLeak
 	}
 	if swaps.Load() == 0 {
 		return fmt.Errorf("no hot-swap happened; the scenario did not run (raise -duration)")
@@ -333,8 +223,10 @@ func swapChaos(cfg config) error {
 	if evals.Load() == 0 {
 		return fmt.Errorf("no evaluation was verified against an installed version")
 	}
-	if got := metricValueOr(mtext, "sgserve_grid_swaps_total", "0"); got != fmt.Sprint(swaps.Load()) {
-		return fmt.Errorf("sgserve_grid_swaps_total = %s, but the harness saw %d swaps", got, swaps.Load())
+	if got, err := m.need("sgserve_grid_swaps_total"); err != nil {
+		return err
+	} else if got != float64(swaps.Load()) {
+		return fmt.Errorf("sgserve_grid_swaps_total = %v, but the harness saw %d swaps", got, swaps.Load())
 	}
 	fmt.Println("  PASS")
 	return nil

@@ -463,6 +463,43 @@ func (v *HistogramVec) With(values ...string) *Histogram {
 	return h
 }
 
+// Parse reads an exposition as WritePrometheus writes it and returns
+// every sample's value keyed by its series exactly as written: the
+// name, then the label set, escapes included, if it has one.
+func Parse(r io.Reader) (map[string]float64, error) {
+	data, err := io.ReadAll(r)
+	if err != nil {
+		return nil, err
+	}
+	out := make(map[string]float64)
+	for n, line := range strings.Split(string(data), "\n") {
+		if line == "" || line[0] == '#' {
+			continue
+		}
+		// The series ends at the first space outside a quoted label value.
+		end, quoted := -1, false
+		for i := 0; i < len(line) && end < 0; i++ {
+			switch c := line[i]; {
+			case quoted && c == '\\':
+				i++
+			case c == '"':
+				quoted = !quoted
+			case c == ' ' && !quoted:
+				end = i
+			}
+		}
+		if end <= 0 {
+			return nil, fmt.Errorf("metrics: line %d: no sample value in %q", n+1, line)
+		}
+		v, err := strconv.ParseFloat(line[end+1:], 64)
+		if err != nil {
+			return nil, fmt.Errorf("metrics: line %d: %w", n+1, err)
+		}
+		out[line[:end]] = v
+	}
+	return out, nil
+}
+
 // ---------------------------------------------------------------------
 // helpers
 

@@ -208,6 +208,51 @@ func TestDuplicateRegistrationPanics(t *testing.T) {
 	r.NewCounter("dup", "second")
 }
 
+// TestParseRoundTrip: Parse reads back every sample WritePrometheus
+// writes, keyed by the series as written, label escapes included.
+func TestParseRoundTrip(t *testing.T) {
+	r := NewRegistry()
+	r.NewCounter("reqs_total", "requests").Add(7)
+	errs := r.NewCounterVec("errs_total", "errors", "handler", "code")
+	errs.With("eval", "404").Add(3)
+	errs.With("a b\"c\nd", "500").Inc()
+	r.NewGauge("resident", "resident grids").Set(-2.5)
+	h := r.NewHistogram("lat_seconds", "latency", []float64{0.01, 0.1})
+	for _, v := range []float64{0.005, 0.05, 3} {
+		h.Observe(v)
+	}
+	var sb strings.Builder
+	r.WritePrometheus(&sb)
+	got, err := Parse(strings.NewReader(sb.String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]float64{
+		"reqs_total":                                 7,
+		`errs_total{handler="eval",code="404"}`:      3,
+		`errs_total{handler="a b\"c\nd",code="500"}`: 1,
+		"resident":                      -2.5,
+		`lat_seconds_bucket{le="0.01"}`: 1,
+		`lat_seconds_bucket{le="0.1"}`:  2,
+		`lat_seconds_bucket{le="+Inf"}`: 3,
+		"lat_seconds_sum":               h.Sum(),
+		"lat_seconds_count":             3,
+	}
+	if len(got) != len(want) {
+		t.Errorf("parsed %d series, want %d: %v", len(got), len(want), got)
+	}
+	for series, v := range want {
+		if g, ok := got[series]; !ok || g != v {
+			t.Errorf("%s = %v (present %v), want %v", series, g, ok, v)
+		}
+	}
+	for _, bad := range []string{"novalue\n", "x{k=\"v w\"}\n", "x notanumber\n"} {
+		if _, err := Parse(strings.NewReader(bad)); err == nil {
+			t.Errorf("Parse(%q) succeeded, want an error", bad)
+		}
+	}
+}
+
 func TestLabelEscaping(t *testing.T) {
 	r := NewRegistry()
 	r.NewCounterVec("e", "e", "k").With(`a"b\c`).Inc()

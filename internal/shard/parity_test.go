@@ -8,17 +8,6 @@ import (
 	"testing"
 )
 
-// metricLine returns the value of one series in a Prometheus text
-// exposition, or "" when the series is absent.
-func metricLine(text, series string) string {
-	for _, line := range strings.Split(text, "\n") {
-		if v, ok := strings.CutPrefix(line, series+" "); ok {
-			return v
-		}
-	}
-	return ""
-}
-
 // upstreamRequests sums sgproxy_upstream_requests_total over shards.
 func upstreamRequests(p *Proxy) uint64 {
 	var n uint64

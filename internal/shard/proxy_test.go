@@ -16,6 +16,7 @@ import (
 
 	"compactsg"
 	"compactsg/internal/serve"
+	"compactsg/internal/serve/metrics"
 	"compactsg/internal/serve/middleware"
 )
 
@@ -198,8 +199,12 @@ func TestProxyRelaysUpstreamErrors(t *testing.T) {
 	}
 	var out bytes.Buffer
 	p.Metrics().WritePrometheus(&out)
-	if got := metricLine(out.String(), `sgproxy_errors_total{handler="eval_bin"}`); got != "1" {
-		t.Fatalf("sgproxy_errors_total{eval_bin} = %s after a relayed 404, want 1 (relayed errors are client-visible failures)", got)
+	m, err := metrics.Parse(&out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, ok := m[`sgproxy_errors_total{handler="eval_bin"}`]; got != 1 {
+		t.Fatalf("sgproxy_errors_total{eval_bin} = %v (present %v) after a relayed 404, want 1 (relayed errors are client-visible failures)", got, ok)
 	}
 }
 
