@@ -77,7 +77,8 @@ staticcheck:
 # and the format-sniffing LoadAny entry point — plus the kernel
 # identity targets: parallel hierarchization and batch evaluation
 # (random batch size, workers and block width) against their reference
-# kernels. Each target gets $(FUZZTIME); the committed corpus under
+# kernels, and the /metrics exposition round trip (WritePrometheus →
+# Parse). Each target gets $(FUZZTIME); the committed corpus under
 # testdata/fuzz/ (including the nonzero-padding crasher FuzzSnapshot
 # found) always replays in plain `go test`.
 fuzz:
@@ -90,6 +91,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzAdaptiveInvariants$$' -fuzztime $(FUZZTIME) ./internal/adaptive
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreCacheIndex$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/store
+	$(GO) test -run '^$$' -fuzz '^FuzzMetricsRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/serve/metrics
 
 # The four perfbench workloads untraced, one traced run, the
 # BenchmarkKernelEval L0 matrix and BenchmarkColdLoad, appended as JSON

@@ -8,11 +8,13 @@ import (
 
 // AdaptiveGrid is a spatially adaptive sparse grid: instead of the fixed
 // regular point set of Grid, it grows points where the target function's
-// hierarchical surpluses are large. This is the flexibility the paper's
-// compact layout deliberately trades away (Sec. 7) — the adaptive grid
-// pays the hash-container memory cost per point, but can resolve
-// localized features with far fewer points. Points are keyed by gp2idx
-// within an enclosing regular grid of MaxLevel.
+// hierarchical surpluses are large, so it resolves localized features
+// with far fewer points. This is the flexibility the paper's compact
+// layout trades away (Sec. 7); the adaptive grid keeps the layout
+// anyway. Points are keyed by gp2idx within an enclosing regular grid of
+// MaxLevel, and the grid stores the prefix of that grid's coefficient
+// array up to its deepest level group, with zero where no point is
+// committed: it pays for the whole prefix rather than per point.
 type AdaptiveGrid struct {
 	g *adaptive.Grid
 }
@@ -33,7 +35,8 @@ func (a *AdaptiveGrid) Dim() int { return a.g.Dim() }
 // Points returns the current number of grid points.
 func (a *AdaptiveGrid) Points() int { return a.g.Points() }
 
-// MemoryBytes returns the modeled storage footprint.
+// MemoryBytes returns the bytes the grid's prefix holds: 8 for the
+// surplus and 1 for the state byte of every slot.
 func (a *AdaptiveGrid) MemoryBytes() int64 { return a.g.MemoryBytes() }
 
 // Refine inserts children of points whose |surplus| exceeds eps, at most

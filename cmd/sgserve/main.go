@@ -110,7 +110,7 @@ func run(args []string) error {
 	onlineMaxLevel := fs.Int("online-max-level", 8, "refinement level cap per online model")
 	onlineEps := fs.Float64("online-refine-eps", 1e-3, "surplus threshold driving online refinement")
 	onlineRefineMax := fs.Int("online-refine-max", 1024, "max points added per refine step")
-	onlineMaxPoints := fs.Int("online-max-points", 1<<20, "total point cap per online model (observe answers 507 beyond)")
+	onlineMaxPoints := fs.Int("online-max-points", 1<<20, "total point cap per online model (observe answers 507 beyond); also caps the model's level so its regular grid, the largest snapshot a refine writes, holds at most this many points")
 	refineInterval := fs.Duration("refine-interval", 0, "background refine+hot-swap period for dirty online models (0 = only explicit POST /refine)")
 	snapshotDir := fs.String("snapshot-dir", "", "directory for online model snapshots (default: per-process dir under $TMPDIR)")
 	corsOrigin := fs.String("cors-origin", "", "comma-separated allowed CORS origins (\"*\" allows any; empty disables CORS)")

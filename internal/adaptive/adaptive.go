@@ -1,25 +1,35 @@
 // Package adaptive implements spatially adaptive sparse grids — the
 // flexibility the paper's compact structure deliberately trades away
 // (Sec. 7: hash-based structures "keep the access structures as flexible
-// as possible and suitable for adaptive refinement"). It is built in the
-// spirit of the paper's "enhanced" containers: grid points are keyed by
-// gp2idx within an enclosing regular grid of the maximum refinement
-// level, so keys stay integers and no coordinate vectors are stored.
+// as possible and suitable for adaptive refinement"). It keeps the
+// paper's layout anyway. gp2idx does not depend on the grid's level: its
+// group offsets and binomial table depend only on d, so every regular
+// grid is a prefix of every deeper one. An adaptive grid is therefore a
+// prefix of the coefficient array of the enclosing regular grid of the
+// maximum refinement level: one float64 surplus and one state byte per
+// slot, grown by whole level groups, with zero surplus in every slot
+// that holds no committed point.
 //
 // The grid maintains the classic invariants of adaptive sparse grids:
 //
 //   - hierarchical closure: every point's hierarchical ancestors (in
-//     every dimension) are present, which makes the recursive descent
-//     evaluation complete;
+//     every dimension) are present, and a committed point's ancestors
+//     are committed;
 //   - surplus semantics: each point stores its hierarchical surplus
 //     α_p = f(x_p) − I_coarser(x_p), assigned in ascending level-group
 //     order (same-group basis functions vanish at each other's centers).
+//
+// Because absent points hold zero, the committed prefix is a regular
+// compact grid whose interpolant is the adaptive one. Evaluate runs the
+// paper's Alg. 7 kernel (eval.Iterative) on it and ExportCompact copies
+// it, so the writer's I(x) is bit-identical to what a snapshot of the
+// export serves.
 //
 // Refinement is surplus-driven: points whose |α| exceeds a threshold
 // get their 2d hierarchical children inserted, cap-limited. A point
 // whose children have all been inserted (or that sits at the level cap)
 // is settled and never re-examined, so a converged grid answers Refine
-// in O(1) instead of re-sorting every surplus each round.
+// with a scan of the state bytes and no candidate work.
 //
 // Grids come in two flavors. New captures a function f and computes
 // nodal values itself. NewObserved has no captive function: callers feed
@@ -30,8 +40,8 @@
 // partially observed grid is always a valid (coarser) interpolant.
 //
 // All exported methods are safe for concurrent use: Evaluate takes a
-// read lock and pooled scratch (zero allocations on the hot path), the
-// mutating calls serialize behind a write lock.
+// read lock and allocates nothing, the mutating calls serialize behind a
+// write lock.
 package adaptive
 
 import (
@@ -41,13 +51,26 @@ import (
 	"sort"
 	"sync"
 
-	"compactsg/internal/basis"
 	"compactsg/internal/core"
+	"compactsg/internal/eval"
 )
 
 // ErrCaptive is returned by Observe on a grid built with New: such a
 // grid computes its own nodal values from the captured function.
 var ErrCaptive = errors.New("adaptive: grid has a captive function; Observe requires NewObserved")
+
+// Slot states, one byte per gp2idx slot of the prefix. The order
+// matters: a slot holds a committed surplus iff its state ≥ committed.
+const (
+	absent    byte = iota
+	awaiting       // inserted without a nodal value (observed grids only)
+	pending        // valued; its surplus is not yet assigned
+	committed      // surplus assigned
+	settled        // committed, and Refine is done with it: its children are all inserted, or it sits at the level cap
+	numStates
+)
+
+var dirs = [2]core.ParentDir{core.LeftParent, core.RightParent}
 
 // Grid is a spatially adaptive sparse grid for a fixed target function
 // (New) or an externally observed one (NewObserved).
@@ -58,30 +81,24 @@ type Grid struct {
 	f    func(x []float64) float64
 
 	mu sync.RWMutex
-	// surplus maps gp2idx keys to hierarchical surpluses.
-	surplus map[int64]float64
-	// pending holds nodal values f(x_p) for points whose surplus is not
-	// yet assigned.
+	// surplus holds the committed surpluses in gp2idx order and zero in
+	// every other slot; state holds each slot's state. Both cover the
+	// level groups up to the deepest one holding a point.
+	surplus []float64
+	state   []byte
+	// pending holds the nodal values f(x_p) of pending points.
 	pending map[int64]float64
-	// awaiting holds points inserted without a nodal value (observed
-	// grids only); Observe moves them to pending.
-	awaiting map[int64]struct{}
-	// settled marks points Refine is done with: their children are all
-	// inserted, or they sit at the level cap. Coarsen un-settles the
-	// parents of removed points.
-	settled map[int64]struct{}
+	// count[s] is the number of slots in state s (count[absent] is not
+	// kept).
+	count [numStates]int
+	// view is the committed prefix as a regular compact grid: the level
+	// groups up to the deepest committed one. Evaluate sums it and
+	// ExportCompact copies it.
+	view *core.Grid
 	// cappedTotal counts candidates ever blocked at the level cap.
 	cappedTotal int
-
-	scratch sync.Pool // *evalScratch
-}
-
-// evalScratch is the per-call working set of Evaluate: the (l, i)
-// cursor of the recursive descent and the save buffers prefixExists
-// restores from. Pooled so the serve hot path does zero allocations.
-type evalScratch struct {
-	l, i         []int32
-	saveL, saveI []int32
+	// l, i are the point cursor of the write-locked methods.
+	l, i []int32
 }
 
 // RefineStats reports what one refinement round did.
@@ -109,31 +126,23 @@ func newGrid(dim, initialLevel, maxLevel int, f func(x []float64) float64) (*Gri
 		return nil, err
 	}
 	g := &Grid{
-		desc:     desc,
-		dim:      dim,
-		max:      maxLevel - 1,
-		f:        f,
-		surplus:  make(map[int64]float64),
-		pending:  make(map[int64]float64),
-		awaiting: make(map[int64]struct{}),
-		settled:  make(map[int64]struct{}),
+		desc:    desc,
+		dim:     dim,
+		max:     maxLevel - 1,
+		f:       f,
+		surplus: make([]float64, 1),
+		state:   make([]byte, 1),
+		pending: make(map[int64]float64),
+		l:       make([]int32, dim),
+		i:       make([]int32, dim),
 	}
-	g.scratch.New = func() any {
-		return &evalScratch{
-			l:     make([]int32, dim),
-			i:     make([]int32, dim),
-			saveL: make([]int32, dim),
-			saveI: make([]int32, dim),
-		}
+	g.setView(1)
+	// Seed with the regular grid of the initial level: a prefix of the
+	// enclosing one.
+	for key := int64(0); key < desc.GroupStart(initialLevel); key++ {
+		desc.Idx2GP(key, g.l, g.i)
+		g.insert(g.l, g.i)
 	}
-	// Seed with the regular grid of the initial level.
-	init, err := core.NewDescriptor(dim, initialLevel)
-	if err != nil {
-		return nil, err
-	}
-	init.VisitPoints(func(_ int64, l, i []int32) {
-		g.insert(l, i)
-	})
 	g.commit()
 	return g, nil
 }
@@ -167,15 +176,15 @@ func (g *Grid) Points() int {
 }
 
 func (g *Grid) pointsLocked() int {
-	return len(g.surplus) + len(g.pending) + len(g.awaiting)
+	return g.count[awaiting] + g.count[pending] + g.count[committed] + g.count[settled]
 }
 
 // Counts returns the number of committed points, valued points waiting
 // for Commit, and points awaiting an observed value.
-func (g *Grid) Counts() (committed, pending, awaiting int) {
+func (g *Grid) Counts() (committedPoints, pendingPoints, awaitingPoints int) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	return len(g.surplus), len(g.pending), len(g.awaiting)
+	return g.count[committed] + g.count[settled], g.count[pending], g.count[awaiting]
 }
 
 // Dim returns the dimensionality.
@@ -192,31 +201,61 @@ func (g *Grid) CappedTotal() int {
 	return g.cappedTotal
 }
 
-// MemoryBytes models the storage: hash entries of key+value plus
-// container overhead, as in the paper's enhanced hash table.
+// MemoryBytes returns the bytes the grid's prefix holds: 8 for the
+// surplus and 1 for the state byte of every slot up to the deepest
+// level group holding a point. Nodal values waiting for Commit are not
+// counted.
 func (g *Grid) MemoryBytes() int64 {
-	const perEntry = 8 + 8 + 16 // key, value, chain/metadata overhead
-	return int64(g.Points()) * (perEntry + 16)
+	g.mu.RLock()
+	defer g.mu.RUnlock()
+	return int64(cap(g.surplus))*8 + int64(cap(g.state))
+}
+
+// stateOf returns the state of slot key, absent past the prefix.
+func (g *Grid) stateOf(key int64) byte {
+	if key >= int64(len(g.state)) {
+		return absent
+	}
+	return g.state[key]
+}
+
+// set moves slot key to state s.
+func (g *Grid) set(key int64, s byte) {
+	g.count[g.state[key]]--
+	g.count[s]++
+	g.state[key] = s
+}
+
+// setView points view at the first groups level groups of surplus.
+func (g *Grid) setView(groups int) {
+	desc, _ := core.NewDescriptor(g.dim, groups) // groups ≤ desc.Level()
+	g.view, _ = core.GridFromData(desc, g.surplus[:desc.Size()])
+}
+
+// grow extends the prefix by whole level groups until it covers group
+// grp.
+func (g *Grid) grow(grp int) {
+	n := int(g.desc.GroupStart(grp + 1))
+	if n <= len(g.state) {
+		return
+	}
+	g.surplus = append(make([]float64, 0, n), g.surplus...)[:n]
+	g.state = append(make([]byte, 0, n), g.state...)[:n]
+	g.setView(g.view.Level())
 }
 
 // insert adds the point (l, i), recursively adding missing hierarchical
 // ancestors first (closure). Captive-function grids compute the nodal
-// value on the spot; observed grids park the point in awaiting.
-// Existing points are left untouched. Callers hold the write lock (or
-// are constructing the grid).
+// value on the spot; observed grids leave the point awaiting. Existing
+// points are left untouched. Callers hold the write lock (or are
+// constructing the grid).
 func (g *Grid) insert(l, i []int32) {
 	key := g.desc.GP2Idx(l, i)
-	if _, ok := g.surplus[key]; ok {
-		return
-	}
-	if _, ok := g.pending[key]; ok {
-		return
-	}
-	if _, ok := g.awaiting[key]; ok {
+	if g.stateOf(key) != absent {
 		return
 	}
 	for t := 0; t < g.dim; t++ {
-		for _, dir := range []core.ParentDir{core.LeftParent, core.RightParent} {
+		for _, dir := range dirs {
 			pl, pi, ok := core.Parent1D(l[t], i[t], dir)
 			if !ok {
 				continue
@@ -227,13 +266,15 @@ func (g *Grid) insert(l, i []int32) {
 			l[t], i[t] = sl, si
 		}
 	}
+	g.grow(core.LevelSum(l))
 	if g.f == nil {
-		g.awaiting[key] = struct{}{}
+		g.set(key, awaiting)
 		return
 	}
 	x := make([]float64, g.dim)
 	core.Coords(l, i, x)
 	g.pending[key] = g.f(x)
+	g.set(key, pending)
 }
 
 // commit assigns surpluses to pending points in ascending level-group
@@ -244,30 +285,31 @@ func (g *Grid) insert(l, i []int32) {
 // points stay pending for a later round. Callers hold the write lock.
 // Returns the number of points committed.
 func (g *Grid) commit() int {
-	if len(g.pending) == 0 {
+	if g.count[pending] == 0 {
 		return 0
 	}
-	keys := make([]int64, 0, len(g.pending))
-	for k := range g.pending {
-		keys = append(keys, k)
-	}
-	// gp2idx orders by level group first, so key order is group order;
-	// parents have strictly smaller keys and commit first in this pass.
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	l := make([]int32, g.dim)
-	i := make([]int32, g.dim)
 	x := make([]float64, g.dim)
-	sc := g.getScratch()
-	defer g.putScratch(sc)
 	n := 0
-	for _, key := range keys {
-		g.desc.Idx2GP(key, l, i)
-		if !g.parentsCommitted(l, i) {
+	// gp2idx orders by level group first, so slot order is group order:
+	// parents have strictly smaller keys and commit first in this pass.
+	for k, s := range g.state {
+		if s != pending {
 			continue
 		}
-		core.Coords(l, i, x)
-		g.surplus[key] = g.pending[key] - g.evalLocked(sc, x)
+		key := int64(k)
+		g.desc.Idx2GP(key, g.l, g.i)
+		if !g.parentsCommitted(g.l, g.i) {
+			continue
+		}
+		core.Coords(g.l, g.i, x)
+		// Every slot of x's group or deeper adds an exact zero at x, so
+		// the view's sum is I_coarser(x) whatever the view's depth.
+		g.surplus[key] = g.pending[key] - eval.Iterative(g.view, x)
 		delete(g.pending, key)
+		g.set(key, committed)
+		if grp := core.LevelSum(g.l); grp >= g.view.Level() {
+			g.setView(grp + 1)
+		}
 		n++
 	}
 	return n
@@ -278,16 +320,8 @@ func (g *Grid) commit() int {
 // sufficient: committed parents had their own parents committed first.
 func (g *Grid) parentsCommitted(l, i []int32) bool {
 	for t := 0; t < g.dim; t++ {
-		for _, dir := range []core.ParentDir{core.LeftParent, core.RightParent} {
-			pl, pi, ok := core.Parent1D(l[t], i[t], dir)
-			if !ok {
-				continue
-			}
-			sl, si := l[t], i[t]
-			l[t], i[t] = pl, pi
-			_, committed := g.surplus[g.desc.GP2Idx(l, i)]
-			l[t], i[t] = sl, si
-			if !committed {
+		for _, dir := range dirs {
+			if p, ok := g.desc.ParentIdx(l, i, t, dir); ok && g.state[p] < committed {
 				return false
 			}
 		}
@@ -306,35 +340,36 @@ func (g *Grid) Commit() int {
 	return g.commit()
 }
 
-// canonPoint maps x onto the deepest-level lattice of the enclosing
-// descriptor and reduces it to canonical (level, index) form in each
-// dimension. Coordinates must lie strictly inside (0, 1) and within
+// canonPoint maps x onto the deepest-level lattice of desc and reduces
+// it to canonical (level, index) form in each dimension, returning its
+// gp2idx key. Coordinates must lie strictly inside (0, 1) and within
 // 1e-9 of a lattice point.
-func (g *Grid) canonPoint(x []float64, l, i []int32) (int64, error) {
-	scale := float64(int64(1) << uint(g.max+1))
+func canonPoint(desc *core.Descriptor, x []float64, l, i []int32) (int64, error) {
+	top := desc.Level() - 1
+	scale := float64(int64(1) << uint(top+1))
 	for t, v := range x {
 		if math.IsNaN(v) || v <= 0 || v >= 1 {
 			return 0, fmt.Errorf("adaptive: coordinate %d = %v outside (0, 1)", t, v)
 		}
 		k := math.Round(v * scale)
 		if math.Abs(v-k/scale) > 1e-9 {
-			return 0, fmt.Errorf("adaptive: coordinate %d = %v is not on the level-%d lattice", t, v, g.max+1)
+			return 0, fmt.Errorf("adaptive: coordinate %d = %v is not on the level-%d lattice", t, v, top+1)
 		}
 		ki := int64(k)
 		if ki <= 0 || ki >= int64(scale) {
 			return 0, fmt.Errorf("adaptive: coordinate %d = %v snaps to the boundary", t, v)
 		}
-		lev := int32(g.max)
+		lev := int32(top)
 		for ki%2 == 0 {
 			ki >>= 1
 			lev--
 		}
 		l[t], i[t] = lev, int32(ki)
 	}
-	if s := core.LevelSum(l[:len(x)]); s > g.max {
-		return 0, fmt.Errorf("adaptive: point at level group %d outside the level-%d sparse grid", s, g.max+1)
+	if s := core.LevelSum(l[:len(x)]); s > top {
+		return 0, fmt.Errorf("adaptive: point at level group %d outside the level-%d sparse grid", s, top+1)
 	}
-	return g.desc.GP2Idx(l, i), nil
+	return desc.GP2Idx(l, i), nil
 }
 
 // Observe feeds one nodal value y = f(x) to an observation-fed grid.
@@ -360,36 +395,23 @@ func (g *Grid) Observe(x []float64, y float64) error {
 }
 
 func (g *Grid) observeLocked(x []float64, y float64) error {
-	sc := g.getScratch()
-	defer g.putScratch(sc)
-	key, err := g.canonPoint(x, sc.l, sc.i)
+	key, err := canonPoint(g.desc, x, g.l, g.i)
 	if err != nil {
 		return err
 	}
-	if _, ok := g.surplus[key]; ok {
+	switch g.stateOf(key) {
+	case committed, settled:
 		// Deeper basis functions vanish at strictly coarser lattice
 		// points, so I(x) here is ancestors + α_key: shifting α by the
 		// residual restores exact interpolation of y at x.
-		sc2 := g.getScratch()
-		delta := y - g.evalLocked(sc2, x)
-		g.putScratch(sc2)
-		g.surplus[key] += delta
+		g.surplus[key] += y - eval.Iterative(g.view, x)
 		return nil
+	case absent:
+		// New point: insert with closure (ancestors start awaiting).
+		g.insert(g.l, g.i)
 	}
-	if _, ok := g.pending[key]; ok {
-		g.pending[key] = y
-		return nil
-	}
-	if _, ok := g.awaiting[key]; ok {
-		delete(g.awaiting, key)
-		g.pending[key] = y
-		return nil
-	}
-	// New point: insert with closure (ancestors start awaiting), then
-	// value it.
-	g.insert(sc.l, sc.i)
-	delete(g.awaiting, key)
 	g.pending[key] = y
+	g.set(key, pending)
 	return nil
 }
 
@@ -428,25 +450,26 @@ func (g *Grid) ObserveBatch(xs [][]float64, ys []float64) (applied, rejected int
 func (g *Grid) NeedValues(limit int) [][]float64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	if len(g.awaiting) == 0 {
+	n := g.count[awaiting]
+	if limit > 0 {
+		n = min(n, limit)
+	}
+	if n == 0 {
 		return nil
-	}
-	keys := make([]int64, 0, len(g.awaiting))
-	for k := range g.awaiting {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(a, b int) bool { return keys[a] < keys[b] })
-	if limit > 0 && len(keys) > limit {
-		keys = keys[:limit]
 	}
 	l := make([]int32, g.dim)
 	i := make([]int32, g.dim)
-	out := make([][]float64, len(keys))
-	for n, key := range keys {
-		g.desc.Idx2GP(key, l, i)
-		x := make([]float64, g.dim)
-		core.Coords(l, i, x)
-		out[n] = x
+	out := make([][]float64, 0, n)
+	for k, s := range g.state {
+		if len(out) == n {
+			break
+		}
+		if s == awaiting {
+			g.desc.Idx2GP(int64(k), l, i)
+			x := make([]float64, g.dim)
+			core.Coords(l, i, x)
+			out = append(out, x)
+		}
 	}
 	return out
 }
@@ -474,15 +497,9 @@ func (g *Grid) RefineDetailed(eps float64, maxNew int) RefineStats {
 		mag float64
 	}
 	var cands []cand
-	for key, a := range g.surplus {
-		if _, done := g.settled[key]; done {
-			continue
-		}
-		if a < 0 {
-			a = -a
-		}
-		if a > eps {
-			cands = append(cands, cand{key, a})
+	for k, s := range g.state {
+		if a := math.Abs(g.surplus[k]); s == committed && a > eps {
+			cands = append(cands, cand{int64(k), a})
 		}
 	}
 	st.Candidates = len(cands)
@@ -494,8 +511,7 @@ func (g *Grid) RefineDetailed(eps float64, maxNew int) RefineStats {
 		return cands[a].key < cands[b].key
 	})
 	before := g.pointsLocked()
-	l := make([]int32, g.dim)
-	i := make([]int32, g.dim)
+	l, i := g.l, g.i
 	for _, c := range cands {
 		if g.pointsLocked()-before >= maxNew {
 			// Budget exhausted: remaining candidates stay unsettled and
@@ -507,104 +523,33 @@ func (g *Grid) RefineDetailed(eps float64, maxNew int) RefineStats {
 			// Children would exceed the level cap; the point can never
 			// refine, so it settles — but the caller learns it was
 			// capacity, not convergence.
-			g.settled[c.key] = struct{}{}
+			g.set(c.key, settled)
 			st.Capped++
 			g.cappedTotal++
 			continue
 		}
 		for t := 0; t < g.dim; t++ {
-			for _, dir := range []core.ParentDir{core.LeftParent, core.RightParent} {
-				cl, ci := core.Child1D(l[t], i[t], dir)
+			for _, dir := range dirs {
 				sl, si := l[t], i[t]
-				l[t], i[t] = cl, ci
+				l[t], i[t] = core.Child1D(sl, si, dir)
 				g.insert(l, i)
 				l[t], i[t] = sl, si
 			}
 		}
-		g.settled[c.key] = struct{}{}
+		g.set(c.key, settled)
 	}
 	st.Committed = g.commit()
 	st.Added = g.pointsLocked() - before
 	return st
 }
 
-// getScratch and putScratch manage the pooled Evaluate working set.
-func (g *Grid) getScratch() *evalScratch   { return g.scratch.Get().(*evalScratch) }
-func (g *Grid) putScratch(sc *evalScratch) { g.scratch.Put(sc) }
-
-// Evaluate interpolates the adaptive grid at x: a recursive descent per
-// dimension over the existing points. Closure guarantees that a chain
-// prefix exists whenever any of its descendants does, so pruning on a
-// missing root-completion is exact. Safe for concurrent use; does not
-// allocate.
+// Evaluate interpolates the adaptive grid at x: eval.Iterative on the
+// committed prefix, whose absent points hold zero. Safe for concurrent
+// use; does not allocate.
 func (g *Grid) Evaluate(x []float64) float64 {
-	sc := g.getScratch()
 	g.mu.RLock()
-	v := g.evalLocked(sc, x)
-	g.mu.RUnlock()
-	g.putScratch(sc)
-	return v
-}
-
-// evalLocked evaluates with the caller holding at least a read lock,
-// using sc as the descent cursor.
-func (g *Grid) evalLocked(sc *evalScratch, x []float64) float64 {
-	for t := 0; t < g.dim; t++ {
-		sc.l[t], sc.i[t] = 0, 1
-	}
-	return g.evalRec(sc, x, 0, 1.0)
-}
-
-func (g *Grid) evalRec(sc *evalScratch, x []float64, t int, prod float64) float64 {
-	l, i := sc.l, sc.i
-	// Start the dimension-t chain at its root.
-	l[t], i[t] = 0, 1
-	res := 0.0
-	for {
-		// Prune: if the prefix completed with roots does not exist, no
-		// descendant of this prefix exists either (closure).
-		if !g.prefixExists(sc, t) {
-			break
-		}
-		phi := basis.Eval1D(l[t], i[t], x[t])
-		p := prod * phi
-		if p != 0 {
-			if t == g.dim-1 {
-				if a, ok := g.surplus[g.desc.GP2Idx(l, i)]; ok {
-					res += p * a
-				}
-			} else {
-				res += g.evalRec(sc, x, t+1, p)
-			}
-		}
-		if int(l[t]) >= g.max {
-			break
-		}
-		if x[t] < core.Coord(l[t], i[t]) {
-			l[t], i[t] = core.Child1D(l[t], i[t], core.LeftParent)
-		} else {
-			l[t], i[t] = core.Child1D(l[t], i[t], core.RightParent)
-		}
-	}
-	l[t], i[t] = 0, 1
-	return res
-}
-
-// prefixExists reports whether the point formed by dims 0..t of the
-// descent cursor and roots elsewhere is present. The save buffers in sc
-// are free at every call site: each invocation restores them before
-// returning and the recursion never holds one across a deeper call.
-func (g *Grid) prefixExists(sc *evalScratch, t int) bool {
-	l, i := sc.l, sc.i
-	for k := t + 1; k < g.dim; k++ {
-		sc.saveL[k], sc.saveI[k] = l[k], i[k]
-		l[k], i[k] = 0, 1
-	}
-	_, ok := g.surplus[g.desc.GP2Idx(l, i)]
-	for k := t + 1; k < g.dim; k++ {
-		l[k], i[k] = sc.saveL[k], sc.saveI[k]
-	}
-	return ok
+	defer g.mu.RUnlock()
+	return eval.Iterative(g.view, x)
 }
 
 // Coarsen removes leaf points (no hierarchical children present) whose
@@ -617,44 +562,43 @@ func (g *Grid) prefixExists(sc *evalScratch, t int) bool {
 func (g *Grid) Coarsen(eps float64) (removed int, errorBound float64) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	l := make([]int32, g.dim)
-	i := make([]int32, g.dim)
+	l, i := g.l, g.i
 	var victims []int64
-	for key, a := range g.surplus {
-		if a < 0 {
-			a = -a
-		}
-		if a > eps {
+	// Slot 0 is the root point, which is always kept.
+	for k := 1; k < len(g.state); k++ {
+		a := math.Abs(g.surplus[k])
+		if g.state[k] < committed || a > eps {
 			continue
 		}
-		g.desc.Idx2GP(key, l, i)
-		if core.LevelSum(l) == 0 {
-			continue // keep the root point
-		}
+		g.desc.Idx2GP(int64(k), l, i)
 		if g.hasChild(l, i) {
 			continue
 		}
-		victims = append(victims, key)
+		victims = append(victims, int64(k))
 		errorBound += a
 	}
+	if len(victims) == 0 {
+		return 0, 0
+	}
 	for _, key := range victims {
-		delete(g.surplus, key)
-		delete(g.settled, key)
+		g.surplus[key] = 0
+		g.set(key, absent)
 		// The victim's parents lost a child: let Refine regrow them.
 		g.desc.Idx2GP(key, l, i)
 		for t := 0; t < g.dim; t++ {
-			for _, dir := range []core.ParentDir{core.LeftParent, core.RightParent} {
-				pl, pi, ok := core.Parent1D(l[t], i[t], dir)
-				if !ok {
-					continue
+			for _, dir := range dirs {
+				if p, ok := g.desc.ParentIdx(l, i, t, dir); ok && g.state[p] == settled {
+					g.set(p, committed)
 				}
-				sl, si := l[t], i[t]
-				l[t], i[t] = pl, pi
-				delete(g.settled, g.desc.GP2Idx(l, i))
-				l[t], i[t] = sl, si
 			}
 		}
 	}
+	// The view shrinks to the deepest group still committed.
+	k := len(g.state) - 1
+	for k > 0 && g.state[k] < committed {
+		k--
+	}
+	g.setView(g.desc.GroupOf(int64(k)) + 1)
 	return len(victims), errorBound
 }
 
@@ -662,24 +606,16 @@ func (g *Grid) Coarsen(eps float64) (removed int, errorBound float64) {
 // in any state (committed, valued-pending, or awaiting observation) —
 // removing the parent of an uncommitted child would orphan it.
 func (g *Grid) hasChild(l, i []int32) bool {
+	if core.LevelSum(l) >= g.max {
+		return false
+	}
 	for t := 0; t < g.dim; t++ {
-		if int(l[t]) >= g.max {
-			continue
-		}
-		for _, dir := range []core.ParentDir{core.LeftParent, core.RightParent} {
-			cl, ci := core.Child1D(l[t], i[t], dir)
+		for _, dir := range dirs {
 			sl, si := l[t], i[t]
-			l[t], i[t] = cl, ci
-			key := g.desc.GP2Idx(l, i)
-			_, ok := g.surplus[key]
-			if !ok {
-				_, ok = g.pending[key]
-			}
-			if !ok {
-				_, ok = g.awaiting[key]
-			}
+			l[t], i[t] = core.Child1D(sl, si, dir)
+			s := g.stateOf(g.desc.GP2Idx(l, i))
 			l[t], i[t] = sl, si
-			if ok {
+			if s != absent {
 				return true
 			}
 		}
@@ -688,55 +624,31 @@ func (g *Grid) hasChild(l, i []int32) bool {
 }
 
 // MaxSurplusAboveLevel returns the largest |α| among points with
-// |l|₁ ≥ group — a convergence indicator for refinement loops.
+// |l|₁ ≥ group — a convergence indicator for refinement loops. Slots
+// are in group order, so those points are the prefix's tail from
+// GroupStart(group).
 func (g *Grid) MaxSurplusAboveLevel(group int) float64 {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	l := make([]int32, g.dim)
-	i := make([]int32, g.dim)
-	max := 0.0
-	for key, a := range g.surplus {
-		g.desc.Idx2GP(key, l, i)
-		if core.LevelSum(l) < group {
-			continue
-		}
-		if a < 0 {
-			a = -a
-		}
-		if a > max {
-			max = a
+	m := 0.0
+	for k := g.desc.GroupStart(min(max(group, 0), g.max+1)); k < int64(len(g.state)); k++ {
+		if a := math.Abs(g.surplus[k]); g.state[k] >= committed && a > m {
+			m = a
 		}
 	}
-	return max
+	return m
 }
 
-// ExportCompact materializes the committed surpluses into the paper's
-// compact regular-grid layout: a core.Grid of the smallest regular
-// level that contains every committed group, with absent points left at
-// zero surplus. The regular interpolant of the exported grid is
-// pointwise identical to the adaptive interpolant, so a snapshot of it
-// serves the same model. Points still pending or awaiting observation
-// are not exported — Commit first.
+// ExportCompact copies the committed prefix into the paper's compact
+// regular-grid layout: a core.Grid of the smallest regular level that
+// contains every committed group, with absent points at zero surplus.
+// Its regular interpolant is the adaptive one, bit for bit, so a
+// snapshot of it serves the same model. Points still pending or
+// awaiting observation are not exported — Commit first.
 func (g *Grid) ExportCompact() (*core.Grid, error) {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
-	l := make([]int32, g.dim)
-	i := make([]int32, g.dim)
-	maxGroup := 0
-	for key := range g.surplus {
-		g.desc.Idx2GP(key, l, i)
-		if s := core.LevelSum(l); s > maxGroup {
-			maxGroup = s
-		}
-	}
-	desc, err := core.NewDescriptor(g.dim, maxGroup+1)
-	if err != nil {
-		return nil, err
-	}
-	out := core.NewGrid(desc)
-	for key, a := range g.surplus {
-		g.desc.Idx2GP(key, l, i)
-		out.Data[desc.GP2Idx(l, i)] = a
-	}
+	out := core.NewGrid(g.view.Desc())
+	copy(out.Data, g.view.Data)
 	return out, nil
 }

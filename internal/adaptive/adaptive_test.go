@@ -7,10 +7,20 @@ import (
 
 	"compactsg/internal/core"
 	"compactsg/internal/eval"
-	"compactsg/internal/grids"
 	"compactsg/internal/hier"
 	"compactsg/internal/workload"
 )
+
+// committedMap returns the committed surpluses keyed by gp2idx.
+func (g *Grid) committedMap() map[int64]float64 {
+	m := make(map[int64]float64)
+	for k, s := range g.state {
+		if s >= committed {
+			m[int64(k)] = g.surplus[k]
+		}
+	}
+	return m
+}
 
 // peak is smooth but sharply localized: the case where adaptivity pays.
 func peak(x []float64) float64 {
@@ -81,9 +91,10 @@ func TestSurplusesMatchRegularHierarchization(t *testing.T) {
 	rg := core.NewGrid(desc)
 	rg.Fill(f)
 	hier.Iterative(rg)
+	surplus := ag.committedMap()
 	desc.VisitPoints(func(idx int64, l, i []int32) {
 		key := ag.desc.GP2Idx(l, i)
-		a, ok := ag.surplus[key]
+		a, ok := surplus[key]
 		if !ok {
 			t.Fatalf("point %v %v missing from adaptive grid", l, i)
 		}
@@ -105,7 +116,7 @@ func TestInterpolatesNodalValuesAfterRefinement(t *testing.T) {
 	l := make([]int32, 2)
 	i := make([]int32, 2)
 	x := make([]float64, 2)
-	for key := range ag.surplus {
+	for key := range ag.committedMap() {
 		ag.desc.Idx2GP(key, l, i)
 		core.Coords(l, i, x)
 		if got := ag.Evaluate(x); math.Abs(got-peak(x)) > 1e-10 {
@@ -124,7 +135,8 @@ func TestClosureInvariant(t *testing.T) {
 	}
 	l := make([]int32, 3)
 	i := make([]int32, 3)
-	for key := range ag.surplus {
+	surplus := ag.committedMap()
+	for key := range surplus {
 		ag.desc.Idx2GP(key, l, i)
 		for t2 := 0; t2 < 3; t2++ {
 			for _, dir := range []core.ParentDir{core.LeftParent, core.RightParent} {
@@ -134,7 +146,7 @@ func TestClosureInvariant(t *testing.T) {
 				}
 				sl, si := l[t2], i[t2]
 				l[t2], i[t2] = pl, pi
-				if _, present := ag.surplus[ag.desc.GP2Idx(l, i)]; !present {
+				if _, present := surplus[ag.desc.GP2Idx(l, i)]; !present {
 					t.Fatalf("closure violated: parent of %v %v in dim %d missing", l, i, t2)
 				}
 				l[t2], i[t2] = sl, si
@@ -222,24 +234,33 @@ func TestRefineRespectsCapsAndConverges(t *testing.T) {
 }
 
 func TestMemoryModel(t *testing.T) {
+	// The model holds the whole prefix of its deepest level group: 8
+	// bytes of surplus and 1 state byte per slot. A captive grid commits
+	// every point it inserts, so that prefix is the array its export
+	// allocates.
 	ag, err := New(2, 3, 6, peak)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ag.MemoryBytes() <= 0 {
-		t.Error("memory must be positive")
+	for r := 0; r < 3; r++ {
+		cg, err := ag.ExportCompact()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := ag.MemoryBytes(), 9*cg.Size(); got != want {
+			t.Fatalf("round %d: MemoryBytes = %d, want 9 B for each of the %d slots of the level-%d prefix",
+				r, got, cg.Size(), cg.Level())
+		}
+		ag.Refine(1e-3, 100)
 	}
-	perPoint := float64(ag.MemoryBytes()) / float64(ag.Points())
-	// Should resemble the enhanced hash cost, well above the compact 8B.
-	if perPoint < 16 || perPoint > 128 {
-		t.Errorf("per-point memory %.0f B implausible", perPoint)
+	// An observed grid's prefix also covers the points awaiting values:
+	// the seeds of level 3, though nothing is committed yet.
+	og, err := NewObserved(2, 3, 6)
+	if err != nil {
+		t.Fatal(err)
 	}
-	// And the hash-kind store of the same regular grid should be in the
-	// same regime.
-	desc := core.MustDescriptor(2, 3)
-	hashPer := float64(grids.PredictMemory(grids.EnhHash, desc)) / float64(desc.Size())
-	if perPoint > 3*hashPer {
-		t.Errorf("adaptive per-point cost %.0f vs hash %.0f diverges", perPoint, hashPer)
+	if got, want := og.MemoryBytes(), 9*core.MustDescriptor(2, 3).Size(); got != want {
+		t.Fatalf("observed seed grid: MemoryBytes = %d, want %d", got, want)
 	}
 }
 
@@ -281,7 +302,8 @@ func TestCoarsenRemovesOnlySafeLeaves(t *testing.T) {
 	// Closure must survive coarsening.
 	l := make([]int32, 2)
 	i := make([]int32, 2)
-	for key := range ag.surplus {
+	surplus := ag.committedMap()
+	for key := range surplus {
 		ag.desc.Idx2GP(key, l, i)
 		for t2 := 0; t2 < 2; t2++ {
 			for _, dir := range []core.ParentDir{core.LeftParent, core.RightParent} {
@@ -291,7 +313,7 @@ func TestCoarsenRemovesOnlySafeLeaves(t *testing.T) {
 				}
 				sl, si := l[t2], i[t2]
 				l[t2], i[t2] = pl, pi
-				if _, present := ag.surplus[ag.desc.GP2Idx(l, i)]; !present {
+				if _, present := surplus[ag.desc.GP2Idx(l, i)]; !present {
 					t.Fatalf("closure broken after coarsening: ancestor of %v %v missing", l, i)
 				}
 				l[t2], i[t2] = sl, si

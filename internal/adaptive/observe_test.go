@@ -3,11 +3,12 @@ package adaptive
 import (
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
 	"compactsg/internal/basis"
-	"compactsg/internal/core"
+	"compactsg/internal/eval"
 )
 
 // feedAll answers every NeedValues request of an observed grid from f
@@ -69,8 +70,9 @@ func TestObservedGridMatchesCaptive(t *testing.T) {
 		if og.Points() != cg.Points() {
 			t.Fatalf("dim %d: observed %d points, captive %d", dim, og.Points(), cg.Points())
 		}
-		for key, a := range cg.surplus {
-			b, ok := og.surplus[key]
+		observed := og.committedMap()
+		for key, a := range cg.committedMap() {
+			b, ok := observed[key]
 			if !ok {
 				t.Fatalf("dim %d: key %d missing from observed grid", dim, key)
 			}
@@ -99,8 +101,9 @@ func TestObservedRefineLoopMatchesCaptive(t *testing.T) {
 			t.Fatalf("round %d: observed %d points, captive %d", r, got, want)
 		}
 	}
-	for key, a := range cg.surplus {
-		if b := og.surplus[key]; a != b {
+	observed := og.committedMap()
+	for key, a := range cg.committedMap() {
+		if b := observed[key]; a != b {
 			t.Fatalf("key %d: surplus %g (observed) vs %g (captive)", key, b, a)
 		}
 	}
@@ -267,9 +270,10 @@ func TestRefineCapBoundary(t *testing.T) {
 	}
 }
 
-// TestEvaluateZeroAlloc pins the serve-blocking allocation bug: the
-// original Evaluate allocated three slices per call (plus two more per
-// prefix check). The pooled path must not allocate at steady state.
+// TestEvaluateZeroAlloc pins the serve-blocking allocation bug: an
+// early Evaluate allocated three slices per call (plus two more per
+// prefix check). Evaluate runs eval.Iterative on pooled scratch and
+// must not allocate at steady state.
 func TestEvaluateZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates and randomizes sync.Pool")
@@ -334,64 +338,6 @@ func TestConcurrentObserveRefineEvaluate(t *testing.T) {
 	wg.Wait()
 }
 
-// refEval is a clean-room reference evaluator: the original
-// allocation-per-call recursive descent, kept verbatim as the semantic
-// baseline. The pooled Evaluate must bit-match it — same traversal,
-// same floating-point accumulation order.
-func refEval(g *Grid, x []float64) float64 {
-	l := make([]int32, g.dim)
-	i := make([]int32, g.dim)
-	for t := range i {
-		i[t] = 1
-	}
-	return refEvalRec(g, l, i, x, 0, 1.0)
-}
-
-func refEvalRec(g *Grid, l, i []int32, x []float64, t int, prod float64) float64 {
-	l[t], i[t] = 0, 1
-	res := 0.0
-	for {
-		if !refPrefixExists(g, l, i, t) {
-			break
-		}
-		phi := basis.Eval1D(l[t], i[t], x[t])
-		p := prod * phi
-		if p != 0 {
-			if t == g.dim-1 {
-				if a, ok := g.surplus[g.desc.GP2Idx(l, i)]; ok {
-					res += p * a
-				}
-			} else {
-				res += refEvalRec(g, l, i, x, t+1, p)
-			}
-		}
-		if int(l[t]) >= g.max {
-			break
-		}
-		if x[t] < core.Coord(l[t], i[t]) {
-			l[t], i[t] = core.Child1D(l[t], i[t], core.LeftParent)
-		} else {
-			l[t], i[t] = core.Child1D(l[t], i[t], core.RightParent)
-		}
-	}
-	l[t], i[t] = 0, 1
-	return res
-}
-
-func refPrefixExists(g *Grid, l, i []int32, t int) bool {
-	saveL := make([]int32, g.dim-t-1)
-	saveI := make([]int32, g.dim-t-1)
-	for k := t + 1; k < g.dim; k++ {
-		saveL[k-t-1], saveI[k-t-1] = l[k], i[k]
-		l[k], i[k] = 0, 1
-	}
-	_, ok := g.surplus[g.desc.GP2Idx(l, i)]
-	for k := t + 1; k < g.dim; k++ {
-		l[k], i[k] = saveL[k-t-1], saveI[k-t-1]
-	}
-	return ok
-}
-
 // bruteEval sums α·Πφ over every committed point directly — no
 // traversal, no pruning. Different accumulation order, so it is checked
 // with a tolerance rather than bitwise.
@@ -399,7 +345,7 @@ func bruteEval(g *Grid, x []float64) float64 {
 	l := make([]int32, g.dim)
 	i := make([]int32, g.dim)
 	sum := 0.0
-	for key, a := range g.surplus {
+	for key, a := range g.committedMap() {
 		g.desc.Idx2GP(key, l, i)
 		p := a
 		for t := 0; t < g.dim; t++ {
@@ -410,77 +356,110 @@ func bruteEval(g *Grid, x []float64) float64 {
 	return sum
 }
 
-// checkAdaptiveInvariants asserts, for an arbitrary grid state:
-// closure of the committed set, full-set closure of all points, and
-// Evaluate agreement with both references.
-func checkAdaptiveInvariants(t *testing.T, g *Grid, rng *rand.Rand) {
+// sameBits reports whether a and b are the same float64, bit for bit.
+func sameBits(a, b float64) bool { return math.Float64bits(a) == math.Float64bits(b) }
+
+// checkExportBits asserts that Evaluate is eval.Iterative on the
+// export, bit for bit, at random points: the writer's I(x) is what a
+// snapshot of ExportCompact serves.
+func checkExportBits(t *testing.T, g *Grid, rng *rand.Rand) {
 	t.Helper()
-	l := make([]int32, g.dim)
-	i := make([]int32, g.dim)
-	exists := func(key int64) bool {
-		if _, ok := g.surplus[key]; ok {
-			return true
-		}
-		if _, ok := g.pending[key]; ok {
-			return true
-		}
-		_, ok := g.awaiting[key]
-		return ok
-	}
-	checkParents := func(key int64, committed bool) {
-		g.desc.Idx2GP(key, l, i)
-		for t2 := 0; t2 < g.dim; t2++ {
-			for _, dir := range []core.ParentDir{core.LeftParent, core.RightParent} {
-				pl, pi, ok := core.Parent1D(l[t2], i[t2], dir)
-				if !ok {
-					continue
-				}
-				sl, si := l[t2], i[t2]
-				l[t2], i[t2] = pl, pi
-				pkey := g.desc.GP2Idx(l, i)
-				if committed {
-					if _, ok := g.surplus[pkey]; !ok {
-						t.Fatalf("committed-set closure violated: parent %d of %d not committed", pkey, key)
-					}
-				} else if !exists(pkey) {
-					t.Fatalf("closure violated: parent %d of %d absent", pkey, key)
-				}
-				l[t2], i[t2] = sl, si
-				g.desc.Idx2GP(key, l, i)
-			}
-		}
-	}
-	for key := range g.surplus {
-		checkParents(key, true)
-	}
-	for key := range g.pending {
-		checkParents(key, false)
-	}
-	for key := range g.awaiting {
-		checkParents(key, false)
+	cg, err := g.ExportCompact()
+	if err != nil {
+		t.Fatal(err)
 	}
 	x := make([]float64, g.dim)
 	for k := 0; k < 16; k++ {
 		for t2 := range x {
 			x[t2] = rng.Float64()
 		}
-		got := g.Evaluate(x)
-		if want := refEval(g, x); got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
-			t.Fatalf("Evaluate(%v) = %g, reference traversal %g (must bit-match)", x, got, want)
+		if got, want := g.Evaluate(x), eval.Iterative(cg, x); !sameBits(got, want) {
+			t.Fatalf("Evaluate(%v) = %v, eval.Iterative on the export %v (must bit-match)", x, got, want)
 		}
-		if brute := bruteEval(g, x); math.Abs(got-brute) > 1e-9*(1+math.Abs(brute)) {
-			t.Fatalf("Evaluate(%v) = %g, brute-force sum %g", x, got, brute)
+		if brute := bruteEval(g, x); math.Abs(g.Evaluate(x)-brute) > 1e-9*(1+math.Abs(brute)) {
+			t.Fatalf("Evaluate(%v) = %g, brute-force sum %g", x, g.Evaluate(x), brute)
 		}
 	}
 }
 
+// checkAdaptiveInvariants asserts, for an arbitrary grid state: closure
+// of the committed set and of all points, zero surplus in every slot
+// without a committed point, and agreement with the hash-map reference
+// — the same point in the same state in every slot, equal Counts, equal
+// NeedValues order, bit-identical surpluses and I(x) — plus the export
+// bit-match.
+func checkAdaptiveInvariants(t *testing.T, g *Grid, ref *refGrid, rng *rand.Rand) {
+	t.Helper()
+	l := make([]int32, g.dim)
+	i := make([]int32, g.dim)
+	for k, s := range g.state {
+		key := int64(k)
+		if want := ref.stateOf(key); s != want {
+			t.Fatalf("slot %d in state %d, reference %d", key, s, want)
+		}
+		if s < committed {
+			if g.surplus[k] != 0 {
+				t.Fatalf("slot %d in state %d holds surplus %g", key, s, g.surplus[k])
+			}
+			if s == absent {
+				continue
+			}
+		} else if !sameBits(g.surplus[k], ref.surplus[key]) {
+			t.Fatalf("slot %d: surplus %v, reference %v (must bit-match)", key, g.surplus[k], ref.surplus[key])
+		}
+		g.desc.Idx2GP(key, l, i)
+		for t2 := 0; t2 < g.dim; t2++ {
+			for _, dir := range dirs {
+				p, ok := g.desc.ParentIdx(l, i, t2, dir)
+				if !ok {
+					continue
+				}
+				if s >= committed && g.state[p] < committed {
+					t.Fatalf("committed-set closure violated: parent %d of %d not committed", p, key)
+				}
+				if g.state[p] == absent {
+					t.Fatalf("closure violated: parent %d of %d absent", p, key)
+				}
+			}
+		}
+	}
+	if ref.points() != g.Points() {
+		t.Fatalf("%d points, reference %d (some beyond the %d-slot prefix)", g.Points(), ref.points(), len(g.state))
+	}
+	c, p, a := g.Counts()
+	if c != len(ref.surplus) || p != len(ref.pending) || a != len(ref.awaiting) {
+		t.Fatalf("Counts = %d/%d/%d, reference %d/%d/%d", c, p, a, len(ref.surplus), len(ref.pending), len(ref.awaiting))
+	}
+	if got, want := g.NeedValues(0), ref.needValues(0); !reflect.DeepEqual(got, want) {
+		t.Fatalf("NeedValues = %v, reference %v", got, want)
+	}
+	x := make([]float64, g.dim)
+	for k := 0; k < 16; k++ {
+		for t2 := range x {
+			x[t2] = rng.Float64()
+		}
+		if got, want := g.Evaluate(x), ref.evaluate(x); !sameBits(got, want) {
+			t.Fatalf("Evaluate(%v) = %v, reference %v (must bit-match)", x, got, want)
+		}
+	}
+	checkExportBits(t, g, rng)
+}
+
 // runAdaptiveOps drives a random Observe/Refine/Coarsen/Commit sequence
-// from the seed and checks invariants along the way.
+// from the seed through an observed grid and the hash-map reference,
+// requiring equal results op by op, and Refine/Coarsen through a captive
+// grid of the same shape; it checks invariants along the way.
 func runAdaptiveOps(t *testing.T, seed uint64) {
 	rng := rand.New(rand.NewSource(int64(seed)))
 	dim := 1 + rng.Intn(3)
 	maxLevel := 4 + rng.Intn(3)
-	og, err := NewObserved(dim, 1+rng.Intn(2), maxLevel)
+	initLevel := 1 + rng.Intn(2)
+	og, err := NewObserved(dim, initLevel, maxLevel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref := newRefObserved(dim, initLevel, maxLevel)
+	cg, err := New(dim, initLevel, maxLevel, peak)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -496,31 +475,49 @@ func runAdaptiveOps(t *testing.T, seed uint64) {
 			x[t2] = float64(idx) / float64(int64(1)<<uint(lv+1))
 		}
 	}
+	observe := func(p []float64, y float64) {
+		err, refErr := og.Observe(p, y), ref.observe(p, y)
+		if err != nil || refErr != nil {
+			t.Fatalf("observe %v: %v (reference %v)", p, err, refErr)
+		}
+	}
 	ops := 20 + rng.Intn(20)
 	for op := 0; op < ops; op++ {
 		switch rng.Intn(5) {
 		case 0, 1: // observe a random lattice point (may insert)
 			randPoint()
-			if err := og.Observe(x, rng.NormFloat64()); err != nil {
-				t.Fatalf("observe %v: %v", x, err)
-			}
+			observe(x, rng.NormFloat64())
 		case 2: // answer what the grid asked for
 			for _, p := range og.NeedValues(8) {
-				og.Observe(p, rng.NormFloat64())
+				observe(p, rng.NormFloat64())
 			}
-			og.Commit()
+			if n, want := og.Commit(), ref.commit(); n != want {
+				t.Fatalf("Commit = %d, reference %d", n, want)
+			}
 		case 3:
 			eps := []float64{0, 1e-3, 0.1}[rng.Intn(3)]
-			og.RefineDetailed(eps, 1+rng.Intn(64))
+			maxNew := 1 + rng.Intn(64)
+			if st, want := og.RefineDetailed(eps, maxNew), ref.refine(eps, maxNew); st != want {
+				t.Fatalf("RefineDetailed(%g, %d) = %+v, reference %+v", eps, maxNew, st, want)
+			}
+			cg.RefineDetailed(eps, maxNew)
 		case 4:
-			og.Coarsen([]float64{0, 1e-2}[rng.Intn(2)])
+			eps := []float64{0, 1e-2}[rng.Intn(2)]
+			n, bound := og.Coarsen(eps)
+			if wantN, wantBound := ref.coarsen(eps); n != wantN || !sameBits(bound, wantBound) {
+				t.Fatalf("Coarsen(%g) = %d, %v; reference %d, %v", eps, n, bound, wantN, wantBound)
+			}
+			cg.Coarsen(eps)
 		}
 		if op%8 == 7 {
-			checkAdaptiveInvariants(t, og, rng)
+			checkAdaptiveInvariants(t, og, ref, rng)
+			checkExportBits(t, cg, rng)
 		}
 	}
 	og.Commit()
-	checkAdaptiveInvariants(t, og, rng)
+	ref.commit()
+	checkAdaptiveInvariants(t, og, ref, rng)
+	checkExportBits(t, cg, rng)
 }
 
 // TestAdaptiveInvariantsProperty replays a fixed set of seeds through
@@ -532,7 +529,8 @@ func TestAdaptiveInvariantsProperty(t *testing.T) {
 }
 
 // FuzzAdaptiveInvariants is the coverage-guided version: the fuzzer
-// hunts op sequences that break closure or evaluation identity.
+// hunts op sequences that break closure, agreement with the reference
+// or the export bit-match.
 func FuzzAdaptiveInvariants(f *testing.F) {
 	for seed := uint64(1); seed <= 8; seed++ {
 		f.Add(seed)

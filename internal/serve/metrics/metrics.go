@@ -263,7 +263,10 @@ type Histogram struct {
 	counts  []atomic.Uint64
 	sumBits atomic.Uint64
 	total   atomic.Uint64
-	labels  string
+	// minBits and maxBits hold the smallest and largest observation,
+	// which bound every quantile estimate.
+	minBits, maxBits atomic.Uint64
+	labels           string
 }
 
 // DefLatencyBuckets spans 10µs .. 2.5s, the useful range for a
@@ -302,15 +305,24 @@ func newHistogram(bounds []float64, labels string) *Histogram {
 			panic("metrics: histogram bounds must be strictly increasing")
 		}
 	}
-	return &Histogram{
+	h := &Histogram{
 		bounds: append([]float64(nil), bounds...),
 		counts: make([]atomic.Uint64, len(bounds)+1), // +Inf overflow bucket
 		labels: labels,
 	}
+	h.minBits.Store(math.Float64bits(math.Inf(1)))
+	h.maxBits.Store(math.Float64bits(math.Inf(-1)))
+	return h
 }
 
 // Observe records v.
 func (h *Histogram) Observe(v float64) {
+	// The range grows before the count does, so a reader that sees the
+	// count also sees v inside [min, max].
+	for old := h.minBits.Load(); v < math.Float64frombits(old) && !h.minBits.CompareAndSwap(old, math.Float64bits(v)); old = h.minBits.Load() {
+	}
+	for old := h.maxBits.Load(); v > math.Float64frombits(old) && !h.maxBits.CompareAndSwap(old, math.Float64bits(v)); old = h.maxBits.Load() {
+	}
 	i := sort.SearchFloat64s(h.bounds, v) // first bound >= v
 	h.counts[i].Add(1)
 	h.total.Add(1)
@@ -329,8 +341,9 @@ func (h *Histogram) Count() uint64 { return h.total.Load() }
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sumBits.Load()) }
 
 // Quantile estimates the q-quantile (0 ≤ q ≤ 1) from the buckets by
-// linear interpolation within the containing bucket; observations above
-// the last bound report the last bound. It returns 0 with no data.
+// linear interpolation within the containing bucket, clamped into the
+// observed [min, max]; observations above the last bound report the
+// last bound. It returns 0 with no data.
 //
 // Callers that gate on the result (sgstress -assert-hot-p50) should use
 // QuantileCapped instead: a quantile landing in the +Inf overflow
@@ -362,8 +375,10 @@ func (h *Histogram) QuantileCapped(q float64) (v float64, capped bool) {
 				// Overflow bucket: all we know is v >= last bound.
 				return h.bounds[len(h.bounds)-1], true
 			}
+			// The first bucket starts at 0, or at its bound when that is
+			// not positive.
 			hi := h.bounds[i]
-			lo := 0.0
+			lo := math.Min(0, hi)
 			if i > 0 {
 				lo = h.bounds[i-1]
 			}
@@ -373,7 +388,9 @@ func (h *Histogram) QuantileCapped(q float64) (v float64, capped bool) {
 			} else if frac > 1 {
 				frac = 1
 			}
-			return lo + frac*(hi-lo), false
+			v := lo + frac*(hi-lo)
+			v = math.Max(v, math.Float64frombits(h.minBits.Load()))
+			return math.Min(v, math.Float64frombits(h.maxBits.Load())), false
 		}
 		cum += c
 	}
@@ -525,12 +542,23 @@ func labelPairs(names, values []string) string {
 }
 
 // childKey builds the map key for one labeled child and enforces the
-// label-arity contract at the call site that violated it.
+// label-arity contract at the call site that violated it. Values are
+// length-prefixed so distinct tuples never share a key, as ("", "\x00")
+// and ("\x00", "") would under a NUL separator.
 func childKey(fname string, names, values []string) string {
 	if len(values) != len(names) {
 		panic(fmt.Sprintf("metrics: %s wants %d label values, got %d", fname, len(names), len(values)))
 	}
-	return strings.Join(values, "\x00")
+	if len(values) == 1 {
+		return values[0]
+	}
+	var b strings.Builder
+	for _, v := range values {
+		b.WriteString(strconv.Itoa(len(v)))
+		b.WriteByte(':')
+		b.WriteString(v)
+	}
+	return b.String()
 }
 
 // mergeLabels appends an extra pair to a pre-rendered label set.

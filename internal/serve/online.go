@@ -35,7 +35,11 @@ type OnlineConfig struct {
 	// RefineMax caps points added per refinement round. Default 1024.
 	RefineMax int
 	// MaxPoints caps each model's total point count; observations that
-	// would grow a model past it are rejected with 507. Default 1<<20.
+	// would grow a model past it are rejected with 507. It also caps
+	// the model's level at the deepest level ≤ MaxLevel whose regular
+	// grid, the largest snapshot a refine can write, holds at most
+	// MaxPoints points; deeper observations are rejected like points
+	// past MaxLevel. Default 1<<20.
 	MaxPoints int
 	// SnapshotDir is where refined snapshots are written
 	// (<name>.v<version>.sg). Default: a per-process directory under
@@ -165,7 +169,16 @@ func (o *onlineSet) modelFor(name string, dim int) (*onlineModel, error) {
 		}
 		return m, nil
 	}
-	g, err := adaptive.NewObserved(dim, o.cfg.InitLevel, o.cfg.MaxLevel)
+	// The model's prefix, and so each export, spans the whole regular
+	// grid of its deepest level: cap that level so the grid fits
+	// MaxPoints.
+	level := o.cfg.MaxLevel
+	for ; level > o.cfg.InitLevel; level-- {
+		if n, err := core.NumGridPoints(dim, level); err == nil && n <= int64(o.cfg.MaxPoints) {
+			break
+		}
+	}
+	g, err := adaptive.NewObserved(dim, o.cfg.InitLevel, level)
 	if err != nil {
 		return nil, Errorf(http.StatusBadRequest, "cannot create model %q: %v", name, err)
 	}
