@@ -40,9 +40,10 @@ type batcher struct {
 
 	mu       sync.Mutex
 	closed   bool
-	inflight sync.WaitGroup // submits between accept and enqueue
-	enqueued atomic.Int64   // calls accepted into in; a test waits on it before Close
-	done     chan struct{}  // closed when run has drained and exited
+	hurry    <-chan struct{} // set by retire: dispatches the open batch early
+	inflight sync.WaitGroup  // submits between accept and enqueue
+	enqueued atomic.Int64    // calls accepted into in; a test waits on it before Close
+	done     chan struct{}   // closed when run has drained and exited
 }
 
 type evalCall struct {
@@ -140,10 +141,15 @@ func (b *batcher) submit(ctx context.Context, x []float64) (float64, error) {
 }
 
 // close stops the batcher: new submits fail with ErrClosed, everything
-// already enqueued is flushed (callers get their values), then the run
-// goroutine exits. Safe to call more than once and from several
+// already enqueued is flushed at once (callers get their values), then
+// the run goroutine exits. Safe to call more than once and from several
 // goroutines; every call blocks until the drain is complete.
-func (b *batcher) close() {
+func (b *batcher) close() { b.retire(nil) }
+
+// retire is close, except that with a non-nil hurry the open batch
+// keeps its deadline (or goes when hurry is closed): a swap or eviction
+// of the grid does not change when its parked callers are answered.
+func (b *batcher) retire(hurry <-chan struct{}) {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -151,6 +157,7 @@ func (b *batcher) close() {
 		return
 	}
 	b.closed = true
+	b.hurry = hurry // read by run only after it sees in closed
 	b.mu.Unlock()
 	b.inflight.Wait() // no sender is between accept and enqueue now
 	close(b.in)
@@ -190,16 +197,25 @@ func (b *batcher) run() {
 		calls = append(calls[:0], first)
 		timer.Reset(b.maxWait)
 		fired := false
+		in := b.in
+		var hurry <-chan struct{}
 	collect:
 		for len(calls) < b.maxBatch {
 			select {
-			case c, ok := <-b.in:
+			case c, ok := <-in:
 				if !ok {
-					break collect // closed: flush what we have, exit on next recv
+					// Closed: flush now, or (retired) wait out the
+					// deadline unless hurried; the next receive exits.
+					if in, hurry = nil, b.hurry; hurry == nil {
+						break collect
+					}
+					continue
 				}
 				calls = append(calls, c)
 			case <-timer.C:
 				fired = true
+				break collect
+			case <-hurry:
 				break collect
 			}
 		}

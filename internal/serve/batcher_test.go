@@ -116,6 +116,51 @@ func TestBatcherSkipsCancelledCalls(t *testing.T) {
 	}
 }
 
+// TestBatcherRetireKeepsDeadline: a retired batcher refuses new calls
+// but dispatches its open batch only at the batch's deadline or once
+// hurried; close dispatches at once.
+func TestBatcherRetireKeepsDeadline(t *testing.T) {
+	g := loadTestGrid(t, 2, 3)
+	b := newBatcher(g, 1024, time.Hour, nil)
+	x := []float64{0.5, 0.5}
+	vals := make(chan float64, 1)
+	go func() {
+		v, err := b.submit(context.Background(), x)
+		if err != nil {
+			t.Error(err)
+		}
+		vals <- v
+	}()
+	for b.enqueued.Load() != 1 {
+		time.Sleep(time.Millisecond)
+	}
+	hurry := make(chan struct{})
+	retired := make(chan struct{})
+	go func() {
+		b.retire(hurry)
+		close(retired)
+	}()
+	waitFor(t, "retire to stop the batcher", func() bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.closed
+	})
+	select {
+	case <-vals:
+		t.Fatal("retire answered the open batch before its deadline")
+	case <-time.After(50 * time.Millisecond):
+	}
+	if _, err := b.submit(context.Background(), x); err != ErrClosed {
+		t.Fatalf("submit to a retired batcher: err = %v, want ErrClosed", err)
+	}
+	close(hurry)
+	if want, _ := g.Evaluate(x); <-vals != want {
+		t.Fatal("hurried batch answered the wrong value")
+	}
+	<-retired
+	b.close() // idempotent after retire
+}
+
 // TestBatcherCancelAfterEnqueue exercises the real client sequence:
 // enqueue, abandon via cancel, and verify later submits still complete.
 func TestBatcherCancelAfterEnqueue(t *testing.T) {

@@ -139,7 +139,8 @@ func (c *Config) fill() {
 // drains it in the background, and the drain releases the lease — so
 // an evicted grid's flush goroutine always terminates instead of
 // leaking, and callers parked in its last open batch still get their
-// values. Close waits for all such background drains.
+// values, at that batch's deadline like any other. Close dispatches
+// those batches at once and waits for all such background drains.
 type Server struct {
 	cfg    Config
 	grids  *GridSet
@@ -150,6 +151,7 @@ type Server struct {
 	mu       sync.Mutex
 	batchers map[string]*gridBatcher
 	closed   bool
+	closing  chan struct{}  // closed by Close: retired batchers dispatch at once
 	inflight sync.WaitGroup // evaluations admitted before Close
 	drains   sync.WaitGroup // background batcher drains after eviction
 
@@ -202,6 +204,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:      cfg,
 		batchers: make(map[string]*gridBatcher),
+		closing:  make(chan struct{}),
 	}
 	s.grids = NewGridSet(cfg.MaxResident, compactsg.WithWorkers(cfg.Workers))
 	s.grids.OnLoad = func(_ string, mode compactsg.LoadMode, took time.Duration) {
@@ -411,6 +414,9 @@ func (s *Server) Handler() http.Handler { return s.mux }
 func (s *Server) Close() error {
 	s.mu.Lock()
 	first := !s.closed
+	if first {
+		close(s.closing)
+	}
 	s.closed = true
 	bs := make([]*gridBatcher, 0, len(s.batchers))
 	for _, gb := range s.batchers {
@@ -517,16 +523,16 @@ func (s *Server) dropBatcherForGrid(name string, g *compactsg.Grid) {
 	s.mu.Unlock()
 }
 
-// retireLocked schedules a background drain of a detached batcher.
-// Caller holds s.mu; the WaitGroup increment happens under the lock so
-// Close (which inspects the map under the same lock) can never miss a
-// drain in flight.
+// retireLocked schedules a background drain of a detached batcher (its
+// open batch keeps its deadline until Close). Caller holds s.mu; the
+// WaitGroup increment happens under the lock so Close (which inspects
+// the map under the same lock) can never miss a drain in flight.
 func (s *Server) retireLocked(gb *gridBatcher) {
 	s.met.drainsTotal.Inc()
 	s.drains.Add(1)
 	go func() {
 		defer s.drains.Done()
-		gb.b.close()
+		gb.b.retire(s.closing)
 		gb.lease.Release()
 	}()
 }
