@@ -6,8 +6,9 @@
 //   - hot workers pin one grid with a continuous stream of eval
 //     requests (the latency victims if anything blocks the fast path),
 //   - cold workers cycle through every other grid, forcing constant
-//     LRU eviction, reload and batcher drain churn, and register a
-//     brand-new grid file mid-flight every -churn cold requests,
+//     LRU eviction and reload churn under open micro-batches, and
+//     register a brand-new grid file mid-flight every -churn cold
+//     requests,
 //   - cancellers fire requests with microsecond deadlines so contexts
 //     die before, during and after enqueue into open micro-batches.
 //

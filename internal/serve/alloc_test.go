@@ -113,7 +113,7 @@ func TestBatcherSteadyStateZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
 	}
 	g := compressedGrid(t, 3, 5)
-	b := newBatcher(g, 1, time.Millisecond, nil)
+	b := newBatcher(g.EvaluateBatch, 1, time.Millisecond, nil)
 	defer b.close()
 	ctx := context.Background()
 	x := []float64{0.25, 0.5, 0.75}
@@ -146,7 +146,7 @@ func TestBatcherTracedSubmitZeroAlloc(t *testing.T) {
 		t.Skip("race instrumentation allocates and defeats sync.Pool reuse")
 	}
 	g := compressedGrid(t, 3, 5)
-	b := newBatcher(g, 1, time.Millisecond, nil)
+	b := newBatcher(g.EvaluateBatch, 1, time.Millisecond, nil)
 	defer b.close()
 	tracer := obs.New(64)
 	sp := tracer.Start("eval")

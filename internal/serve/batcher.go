@@ -7,23 +7,26 @@ import (
 	"sync/atomic"
 	"time"
 
-	"compactsg"
 	"compactsg/internal/obs"
 )
 
-// ErrClosed is returned by submit after the batcher (or server) has
-// begun shutting down. The server distinguishes "this batcher was
-// retired by eviction" (it retries against a fresh batcher) from "the
-// whole server is closing" (the client gets 503).
+// ErrClosed is returned once the server (and with it every batcher)
+// has begun shutting down; the client gets 503.
 var ErrClosed = errors.New("serve: server is shutting down")
 
-// A batcher coalesces concurrent single-point evaluation requests for
-// one grid into micro-batches: the first arrival opens a batch, which
-// is dispatched to Grid.EvaluateBatch when it reaches maxBatch points
-// or when maxWait elapses, whichever comes first. This replaces
-// per-request goroutine evaluation with the paper's batched
-// decompression (one EvaluateBatch call over the configured worker
-// pool and cache blocking), and bounds the extra latency by maxWait.
+// evalFunc runs the kernel over one dispatched batch, writing the value
+// of xs[k] to out[k]; (*compactsg.Grid).EvaluateBatch is one. An error
+// fails every call in the batch, unless the batch mixes point lengths
+// (see run).
+type evalFunc func(xs [][]float64, out []float64) ([]float64, error)
+
+// A batcher coalesces concurrent single-point evaluation requests into
+// micro-batches: the first arrival opens a batch, which is dispatched
+// to eval when it reaches maxBatch points or when maxWait elapses,
+// whichever comes first. This replaces per-request evaluation with the
+// paper's batched decompression (one batch kernel call over the
+// configured worker pool and cache blocking), and bounds the extra
+// latency by maxWait.
 //
 // Liveness contract: the flush loop never blocks on a caller. Every
 // per-call result channel is buffered (capacity 1) and delivered with a
@@ -32,7 +35,7 @@ var ErrClosed = errors.New("serve: server is shutting down")
 // abandoned caller can neither wedge run() nor bill work for an answer
 // nobody is waiting on.
 type batcher struct {
-	grid     *compactsg.Grid
+	eval     evalFunc
 	in       chan evalCall
 	maxBatch int
 	maxWait  time.Duration
@@ -40,10 +43,9 @@ type batcher struct {
 
 	mu       sync.Mutex
 	closed   bool
-	hurry    <-chan struct{} // set by retire: dispatches the open batch early
-	inflight sync.WaitGroup  // submits between accept and enqueue
-	enqueued atomic.Int64    // calls accepted into in; a test waits on it before Close
-	done     chan struct{}   // closed when run has drained and exited
+	inflight sync.WaitGroup // submits between accept and enqueue
+	enqueued atomic.Int64   // calls accepted into in; a test waits on it before Close
+	done     chan struct{}  // closed when run has drained and exited
 }
 
 type evalCall struct {
@@ -64,8 +66,8 @@ type evalResult struct {
 	err error
 
 	queueWait time.Duration // enqueue -> batch flush decision
-	dispatch  time.Duration // flush decision -> EvaluateBatch entry
-	eval      time.Duration // EvaluateBatch wall time (shared by the batch)
+	dispatch  time.Duration // flush decision -> kernel entry
+	eval      time.Duration // kernel wall time (shared by the batch)
 	batch     int           // points in the dispatched batch
 }
 
@@ -77,12 +79,12 @@ type evalResult struct {
 // to the garbage collector instead.
 var resChanPool = sync.Pool{New: func() any { return make(chan evalResult, 1) }}
 
-func newBatcher(g *compactsg.Grid, maxBatch int, maxWait time.Duration, onFlush func(int)) *batcher {
+func newBatcher(eval evalFunc, maxBatch int, maxWait time.Duration, onFlush func(int)) *batcher {
 	if maxBatch < 1 {
 		maxBatch = 1
 	}
 	b := &batcher{
-		grid:     g,
+		eval:     eval,
 		in:       make(chan evalCall, 4*maxBatch),
 		maxBatch: maxBatch,
 		maxWait:  maxWait,
@@ -144,12 +146,7 @@ func (b *batcher) submit(ctx context.Context, x []float64) (float64, error) {
 // already enqueued is flushed at once (callers get their values), then
 // the run goroutine exits. Safe to call more than once and from several
 // goroutines; every call blocks until the drain is complete.
-func (b *batcher) close() { b.retire(nil) }
-
-// retire is close, except that with a non-nil hurry the open batch
-// keeps its deadline (or goes when hurry is closed): a swap or eviction
-// of the grid does not change when its parked callers are answered.
-func (b *batcher) retire(hurry <-chan struct{}) {
+func (b *batcher) close() {
 	b.mu.Lock()
 	if b.closed {
 		b.mu.Unlock()
@@ -157,7 +154,6 @@ func (b *batcher) retire(hurry <-chan struct{}) {
 		return
 	}
 	b.closed = true
-	b.hurry = hurry // read by run only after it sees in closed
 	b.mu.Unlock()
 	b.inflight.Wait() // no sender is between accept and enqueue now
 	close(b.in)
@@ -182,6 +178,7 @@ func (b *batcher) run() {
 		live  []evalCall
 		xs    [][]float64
 		out   []float64
+		errs  []error
 	)
 	// One timer for the life of the loop (go 1.22 semantics: Stop/drain
 	// before every Reset so a stale fire can never cut a batch short).
@@ -197,25 +194,16 @@ func (b *batcher) run() {
 		calls = append(calls[:0], first)
 		timer.Reset(b.maxWait)
 		fired := false
-		in := b.in
-		var hurry <-chan struct{}
 	collect:
 		for len(calls) < b.maxBatch {
 			select {
-			case c, ok := <-in:
+			case c, ok := <-b.in:
 				if !ok {
-					// Closed: flush now, or (retired) wait out the
-					// deadline unless hurried; the next receive exits.
-					if in, hurry = nil, b.hurry; hurry == nil {
-						break collect
-					}
-					continue
+					break collect // closed: flush now; the next receive exits
 				}
 				calls = append(calls, c)
 			case <-timer.C:
 				fired = true
-				break collect
-			case <-hurry:
 				break collect
 			}
 		}
@@ -247,7 +235,19 @@ func (b *batcher) run() {
 			out = make([]float64, len(live))
 		}
 		evalStart := time.Now()
-		res, err := b.grid.EvaluateBatch(xs, out[:len(live)])
+		_, err := b.eval(xs, out[:len(live)])
+		split := err != nil && mixedLengths(xs)
+		errs = errs[:0]
+		for k := range xs {
+			if split {
+				// Points of several lengths cannot all fit one grid (a
+				// swap changed its dimension under some parked calls):
+				// each call is evaluated alone, so a point of the wrong
+				// dimension fails only its own call.
+				_, err = b.eval(xs[k:k+1], out[k:k+1])
+			}
+			errs = append(errs, err)
+		}
 		evalDur := time.Since(evalStart)
 		dispatch := evalStart.Sub(flushed)
 		// Record the batch before any caller wakes, so a caller that
@@ -257,17 +257,26 @@ func (b *batcher) run() {
 		}
 		for k, c := range live {
 			r := evalResult{
+				err:       errs[k],
 				queueWait: flushed.Sub(c.enq),
 				dispatch:  dispatch,
 				eval:      evalDur,
 				batch:     len(live),
 			}
-			if err != nil {
-				r.err = err
-			} else {
-				r.v = res[k]
+			if r.err == nil {
+				r.v = out[k]
 			}
 			deliver(c, r)
 		}
 	}
+}
+
+// mixedLengths reports whether xs holds points of more than one length.
+func mixedLengths(xs [][]float64) bool {
+	for _, x := range xs {
+		if len(x) != len(xs[0]) {
+			return true
+		}
+	}
+	return false
 }

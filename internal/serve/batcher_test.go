@@ -60,7 +60,7 @@ func submitWithin(t *testing.T, b *batcher, x []float64, d time.Duration) (float
 // on it forever; the batcher must keep serving other callers.
 func TestBatcherAbandonedCallerCannotWedgeFlushLoop(t *testing.T) {
 	g := loadTestGrid(t, 2, 3)
-	b := newBatcher(g, 2, time.Millisecond, nil)
+	b := newBatcher(g.EvaluateBatch, 2, time.Millisecond, nil)
 	defer b.close()
 
 	// White-box injection: worst-case abandoned call — live context, so
@@ -86,7 +86,7 @@ func TestBatcherSkipsCancelledCalls(t *testing.T) {
 	g := loadTestGrid(t, 2, 3)
 	var flushes []int
 	var mu sync.Mutex
-	b := newBatcher(g, 5, time.Hour, func(n int) {
+	b := newBatcher(g.EvaluateBatch, 5, time.Hour, func(n int) {
 		mu.Lock()
 		flushes = append(flushes, n)
 		mu.Unlock()
@@ -116,56 +116,11 @@ func TestBatcherSkipsCancelledCalls(t *testing.T) {
 	}
 }
 
-// TestBatcherRetireKeepsDeadline: a retired batcher refuses new calls
-// but dispatches its open batch only at the batch's deadline or once
-// hurried; close dispatches at once.
-func TestBatcherRetireKeepsDeadline(t *testing.T) {
-	g := loadTestGrid(t, 2, 3)
-	b := newBatcher(g, 1024, time.Hour, nil)
-	x := []float64{0.5, 0.5}
-	vals := make(chan float64, 1)
-	go func() {
-		v, err := b.submit(context.Background(), x)
-		if err != nil {
-			t.Error(err)
-		}
-		vals <- v
-	}()
-	for b.enqueued.Load() != 1 {
-		time.Sleep(time.Millisecond)
-	}
-	hurry := make(chan struct{})
-	retired := make(chan struct{})
-	go func() {
-		b.retire(hurry)
-		close(retired)
-	}()
-	waitFor(t, "retire to stop the batcher", func() bool {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		return b.closed
-	})
-	select {
-	case <-vals:
-		t.Fatal("retire answered the open batch before its deadline")
-	case <-time.After(50 * time.Millisecond):
-	}
-	if _, err := b.submit(context.Background(), x); err != ErrClosed {
-		t.Fatalf("submit to a retired batcher: err = %v, want ErrClosed", err)
-	}
-	close(hurry)
-	if want, _ := g.Evaluate(x); <-vals != want {
-		t.Fatal("hurried batch answered the wrong value")
-	}
-	<-retired
-	b.close() // idempotent after retire
-}
-
 // TestBatcherCancelAfterEnqueue exercises the real client sequence:
 // enqueue, abandon via cancel, and verify later submits still complete.
 func TestBatcherCancelAfterEnqueue(t *testing.T) {
 	g := loadTestGrid(t, 2, 3)
-	b := newBatcher(g, 2, 20*time.Millisecond, nil)
+	b := newBatcher(g.EvaluateBatch, 2, 20*time.Millisecond, nil)
 	defer b.close()
 
 	ctx, cancel := context.WithCancel(context.Background())
@@ -188,8 +143,8 @@ func TestBatcherCancelAfterEnqueue(t *testing.T) {
 
 // TestServerEvictionUnderLoad drives /v1/eval concurrently across more
 // grids than resident slots with churn-heavy traffic, asserts every
-// response succeeds, and verifies neither batcher flush goroutines nor
-// drain goroutines leak once the server closes.
+// response succeeds, and verifies no batcher flush goroutine leaks once
+// the server closes.
 func TestServerEvictionUnderLoad(t *testing.T) {
 	before := runtime.NumGoroutine()
 	const grids = 5

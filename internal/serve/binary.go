@@ -304,7 +304,7 @@ func (s *Server) handleEvalBin(w http.ResponseWriter, r *http.Request) error {
 			return err
 		}
 	}
-	if err := s.evaluate(r.Context(), name, req.pts, prepareBinResponse(fr, req.n)); err != nil {
+	if err := s.evaluate(r.Context(), name, req.pts, prepareBinResponse(fr, req.n), false); err != nil {
 		return err
 	}
 	sp.SetStatus(http.StatusOK)

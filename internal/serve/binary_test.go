@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/binary"
+	"encoding/json"
 	"math"
 	"net/http"
 	"net/http/httptest"
@@ -330,6 +331,94 @@ func FuzzBinaryFrame(f *testing.F) {
 		back := AppendEvalFrame(nil, string(req.name), req.pts)
 		if !bytes.Equal(back, raw) {
 			t.Fatalf("round-trip mismatch:\n in  %x\n out %x", raw, back)
+		}
+	})
+}
+
+// FuzzEvalEndpointsAgree: the three eval endpoints run one pipeline,
+// so the same points get the same answers from each. /v1/eval/batch and
+// /v1/eval/bin give the same status and, on 200, Float64bits-identical
+// values; each point's coalesced /v1/eval gives its slot's value, and a
+// batch answers 200 exactly when every one of its points does. The
+// input is a dimension byte (1 + dim%4 coordinates a point, against a
+// d=3 grid) and up to 8 points of little-endian float64s; JSON carries
+// no NaN or Inf, so inputs holding one are skipped.
+func FuzzEvalEndpointsAgree(f *testing.F) {
+	path, _ := writeGrid(f, f.TempDir(), 3, 4)
+	s := New(Config{Coalesce: true, MaxBatch: 1})
+	f.Cleanup(func() { s.Close() })
+	if err := s.AddGrid("g", path); err != nil {
+		f.Fatal(err)
+	}
+	h := s.Handler()
+	seed := func(pts ...[]float64) {
+		var raw []byte
+		for _, x := range pts {
+			for _, v := range x {
+				raw = binary.LittleEndian.AppendUint64(raw, math.Float64bits(v))
+			}
+		}
+		f.Add(uint8(len(pts[0])-1), raw)
+	}
+	seed([]float64{0, 0, 0}, []float64{1, 1, 1}, []float64{0, 1, 0}, []float64{1, 0, 1})
+	seed([]float64{0.25, 0.5, 0.75})
+	seed([]float64{math.Copysign(0, -1), 0.5, 1})
+	seed([]float64{0.5, 0.5, 0.5}, []float64{math.Nextafter(1, 2), 0.5, 0.5})
+	seed([]float64{0.5, 0.5}, []float64{0.25, 0.75})
+	f.Fuzz(func(t *testing.T, dim uint8, raw []byte) {
+		d := 1 + int(dim)%4
+		pts := make([][]float64, min(8, len(raw)/(8*d)))
+		if len(pts) == 0 {
+			return
+		}
+		for k := range pts {
+			pts[k] = make([]float64, d)
+			for i := range pts[k] {
+				v := math.Float64frombits(binary.LittleEndian.Uint64(raw[8*(k*d+i):]))
+				if math.IsNaN(v) || math.IsInf(v, 0) {
+					return
+				}
+				pts[k][i] = v
+			}
+		}
+		batch := postJSON(t, h, "/v1/eval/batch", BatchRequest{Grid: "g", Points: pts})
+		bin := postBin(t, h, AppendEvalFrame(nil, "g", pts))
+		if batch.Code != bin.Code {
+			t.Fatalf("status: batch %d (%s), bin %d (%s)", batch.Code, batch.Body, bin.Code, bin.Body)
+		}
+		var vals []float64
+		if batch.Code == http.StatusOK {
+			var br batchResponse
+			if err := json.Unmarshal(batch.Body.Bytes(), &br); err != nil {
+				t.Fatal(err)
+			}
+			binVals, err := ParseValuesFrame(bin.Body.Bytes())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(br.Values) != len(pts) || len(binVals) != len(pts) {
+				t.Fatalf("%d points: batch %d values, bin %d", len(pts), len(br.Values), len(binVals))
+			}
+			for k := range pts {
+				if math.Float64bits(br.Values[k]) != math.Float64bits(binVals[k]) {
+					t.Fatalf("point %d %v: batch %v, bin %v", k, pts[k], br.Values[k], binVals[k])
+				}
+			}
+			vals = br.Values
+		}
+		all := true
+		for k, x := range pts {
+			rec, v := evalOne(t, h, "/v1/eval", "g", x)
+			if rec.Code != http.StatusOK {
+				all = false
+				continue
+			}
+			if vals != nil && math.Float64bits(v) != math.Float64bits(vals[k]) {
+				t.Fatalf("point %d %v: /v1/eval %v, batch %v", k, x, v, vals[k])
+			}
+		}
+		if all != (batch.Code == http.StatusOK) {
+			t.Fatalf("batch status %d, but every point alone answered 200: %v", batch.Code, all)
 		}
 	})
 }

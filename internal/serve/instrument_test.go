@@ -232,8 +232,8 @@ func TestInstrumentStatusMapping(t *testing.T) {
 		waitFor(t, "the call to park in the open batch", func() bool {
 			s.mu.Lock()
 			defer s.mu.Unlock()
-			gb := s.batchers["g2"]
-			return gb != nil && gb.b.enqueued.Load() == 1
+			b := s.batchers["g2"]
+			return b != nil && b.enqueued.Load() == 1
 		})
 		cancel()
 		rec := <-done

@@ -8,6 +8,8 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -174,51 +176,168 @@ func TestSwapOldVersionServesLeases(t *testing.T) {
 	}
 }
 
-// TestSwapKeepsOpenBatchDeadline: a swap retires the displaced
-// instance's coalescer, but the call parked in its open micro-batch is
-// answered at the batch's deadline, not at the swap, so read latency
-// does not depend on how often the grid is replaced. Close dispatches
-// the retired batch at once, from the instance the call was parked on.
-func TestSwapKeepsOpenBatchDeadline(t *testing.T) {
-	dir := t.TempDir()
-	p1, ref1 := writeScaledGrid(t, dir, "v1.sg", 2, 3, 1)
-	p2, _ := writeScaledGrid(t, dir, "v2.sg", 2, 3, 2)
-	s := New(Config{Coalesce: true, MaxBatch: 1024, BatchWait: time.Hour})
-	t.Cleanup(func() { s.Close() })
-	if err := s.AddGrid("g", p1); err != nil {
-		t.Fatal(err)
-	}
-	x := []float64{0.75, 0.25}
-	type reply struct {
-		rec *httptest.ResponseRecorder
-		v   float64
-	}
-	done := make(chan reply, 1)
+// parkedReply is the answer to a coalesced /v1/eval that a test parks
+// in an open micro-batch.
+type parkedReply struct {
+	rec *httptest.ResponseRecorder
+	v   float64
+}
+
+// parkEval sends x to grid's coalesced /v1/eval and waits until the
+// name's coalescer has accepted n calls in all.
+func parkEval(t *testing.T, s *Server, grid string, x []float64, n int64) <-chan parkedReply {
+	t.Helper()
+	done := make(chan parkedReply, 1)
 	go func() {
-		rec, v := evalOne(t, s.Handler(), "/v1/eval", "g", x)
-		done <- reply{rec, v}
+		rec, v := evalOne(t, s.Handler(), "/v1/eval", grid, x)
+		done <- parkedReply{rec, v}
 	}()
 	waitFor(t, "the call to park in the open batch", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		gb := s.batchers["g"]
-		return gb != nil && gb.b.enqueued.Load() == 1
+		b := s.batchers[grid]
+		return b != nil && b.enqueued.Load() == n
 	})
-	if _, err := s.Grids().Swap("g", p2, 0); err != nil {
+	return done
+}
+
+// TestSwapKeepsOpenBatchDeadline: neither a swap nor an LRU eviction
+// touches the name's coalescer, so a call parked in its open
+// micro-batch is answered at the batch's deadline, not at the swap or
+// eviction, and read latency does not depend on how often the grid is
+// replaced. Close dispatches the batch at once, on the instance
+// installed under the name at that moment.
+func TestSwapKeepsOpenBatchDeadline(t *testing.T) {
+	dir := t.TempDir()
+	p1, ref1 := writeScaledGrid(t, dir, "v1.sg", 2, 3, 1)
+	p2, ref2 := writeScaledGrid(t, dir, "v2.sg", 2, 3, 2)
+	for _, tc := range []struct {
+		name  string
+		event func(s *Server) error
+		want  *compactsg.Grid // the instance installed at dispatch
+	}{
+		{"swap", func(s *Server) error {
+			_, err := s.Grids().Swap("g", p2, 0)
+			return err
+		}, ref2},
+		// With one resident slot, loading h evicts g; Close reloads g.
+		{"evict", func(s *Server) error {
+			_, err := s.Grids().Get("h")
+			return err
+		}, ref1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(Config{Coalesce: true, MaxBatch: 1024, BatchWait: time.Hour, MaxResident: 1})
+			t.Cleanup(func() { s.Close() })
+			if err := s.AddGrid("g", p1); err != nil {
+				t.Fatal(err)
+			}
+			if err := s.AddGrid("h", p2); err != nil {
+				t.Fatal(err)
+			}
+			x := []float64{0.75, 0.25}
+			done := parkEval(t, s, "g", x, 1)
+			if err := tc.event(s); err != nil {
+				t.Fatal(err)
+			}
+			if n := s.met.evictions.Value(); n != 1 {
+				t.Fatalf("%d evictions, want 1: the %s did not displace g", n, tc.name)
+			}
+			select {
+			case r := <-done:
+				t.Fatalf("parked call answered at the %s (status %d), before its batch's deadline", tc.name, r.rec.Code)
+			case <-time.After(50 * time.Millisecond):
+			}
+			s.Close()
+			r := <-done
+			if r.rec.Code != http.StatusOK {
+				t.Fatalf("status %d body %s", r.rec.Code, r.rec.Body)
+			}
+			if want := mustEvalRef(t, tc.want, x); math.Float64bits(r.v) != math.Float64bits(want) {
+				t.Fatalf("value %v, want the dispatch-time instance's %v", r.v, want)
+			}
+		})
+	}
+}
+
+// TestSwapsKeepOneCoalescer: a name keeps one coalescer across swaps,
+// so a swap plus one coalesced read allocates about what the same round
+// does uncoalesced, and Close leaves no goroutine behind.
+func TestSwapsKeepOneCoalescer(t *testing.T) {
+	dir := t.TempDir()
+	p1, _ := writeScaledGrid(t, dir, "v1.sg", 3, 5, 1)
+	p2, _ := writeScaledGrid(t, dir, "v2.sg", 3, 5, 2)
+	x := []float64{0.25, 0.5, 0.75}
+	const rounds = 20
+	bytesPerRound := func(coalesce bool) float64 {
+		before := runtime.NumGoroutine()
+		s := New(Config{Coalesce: coalesce, BatchWait: 100 * time.Microsecond})
+		if err := s.AddGrid("g", p1); err != nil {
+			t.Fatal(err)
+		}
+		round := func(k int) {
+			if _, err := s.Grids().Swap("g", []string{p1, p2}[k%2], 0); err != nil {
+				t.Fatal(err)
+			}
+			if rec, _ := evalOne(t, s.Handler(), "/v1/eval", "g", x); rec.Code != http.StatusOK {
+				t.Fatalf("round %d: status %d body %s", k, rec.Code, rec.Body)
+			}
+		}
+		round(1) // warm the pools and create the coalescer
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for k := range rounds {
+			round(k)
+		}
+		runtime.ReadMemStats(&m1)
+		if coalesce {
+			if n := s.met.batchersNow.Value(); n != 1 {
+				t.Errorf("sgserve_batchers_active = %v after %d swaps, want 1", n, rounds+1)
+			}
+			if n := s.met.drainsTotal.Value(); n != 0 {
+				t.Errorf("sgserve_batcher_drains_total = %d before Close, want 0", n)
+			}
+		}
+		s.Close()
+		assertNoGoroutineLeak(t, before)
+		return float64(m1.TotalAlloc-m0.TotalAlloc) / rounds
+	}
+	coalesced, direct := bytesPerRound(true), bytesPerRound(false)
+	t.Logf("bytes per swap plus read: %.0f coalesced, %.0f uncoalesced", coalesced, direct)
+	if !raceEnabled && coalesced > direct+4096 {
+		t.Errorf("a swap plus a coalesced read allocates %.0f B, want at most 4 KiB over the uncoalesced %.0f B", coalesced, direct)
+	}
+}
+
+// TestSwapToOtherDimensionAnswers400: a call parked on a d=2 grid whose
+// name a swap then gives a d=3 grid gets 400, not 500, because its
+// point does not fit the instance its batch dispatches on. A d=3 call
+// that joined the same open batch after the swap still gets its value.
+func TestSwapToOtherDimensionAnswers400(t *testing.T) {
+	dir := t.TempDir()
+	p2, _ := writeScaledGrid(t, dir, "d2.sg", 2, 3, 1)
+	p3, ref3 := writeScaledGrid(t, dir, "d3.sg", 3, 3, 1)
+	s := New(Config{Coalesce: true, MaxBatch: 1024, BatchWait: time.Hour})
+	t.Cleanup(func() { s.Close() })
+	if err := s.AddGrid("g", p2); err != nil {
 		t.Fatal(err)
 	}
-	select {
-	case r := <-done:
-		t.Fatalf("parked call answered at the swap (status %d), before its batch's deadline", r.rec.Code)
-	case <-time.After(50 * time.Millisecond):
+	stale := parkEval(t, s, "g", []float64{0.25, 0.75}, 1)
+	if _, err := s.Grids().Swap("g", p3, 0); err != nil {
+		t.Fatal(err)
 	}
+	x := []float64{0.25, 0.5, 0.75}
+	fresh := parkEval(t, s, "g", x, 2)
 	s.Close()
-	r := <-done
-	if r.rec.Code != http.StatusOK {
-		t.Fatalf("status %d body %s", r.rec.Code, r.rec.Body)
+	if r := <-stale; r.rec.Code != http.StatusBadRequest || !strings.Contains(r.rec.Body.String(), "coordinates") {
+		t.Errorf("2-D call after the swap to 3-D: status %d body %s, want 400", r.rec.Code, r.rec.Body)
 	}
-	if want := mustEvalRef(t, ref1, x); math.Float64bits(r.v) != math.Float64bits(want) {
-		t.Fatalf("value %v, want the parked instance's %v", r.v, want)
+	r := <-fresh
+	if r.rec.Code != http.StatusOK {
+		t.Fatalf("3-D call in the same batch: status %d body %s", r.rec.Code, r.rec.Body)
+	}
+	if want := mustEvalRef(t, ref3, x); math.Float64bits(r.v) != math.Float64bits(want) {
+		t.Fatalf("3-D call: value %v, want %v", r.v, want)
 	}
 }
 

@@ -1,10 +1,12 @@
 // Package serve is the HTTP evaluation service over compressed sparse
-// grids: an LRU-bounded registry of .sg/.sgs files, a micro-batch
-// coalescer that turns concurrent single-point requests into
-// Grid.EvaluateBatch calls (the paper's batched decompression, Alg. 7 +
-// Sec. 4.3 blocking), and JSON handlers with Prometheus-style metrics.
-// cmd/sgserve is the thin binary around it; cmd/sgload measures it and
-// cmd/sgstress hunts races in it.
+// grids: an LRU-bounded registry of grid files and store keys that
+// leases out hot-swappable instances; one evaluation pipeline behind
+// the JSON and binary endpoints, whose single-point /v1/eval may
+// coalesce into micro-batches per grid name (the paper's batched
+// decompression, Alg. 7 + Sec. 4.3 blocking); the online write path;
+// and the request front, with Prometheus-style metrics and traces,
+// that sgproxy shares. cmd/sgserve is the thin binary around it;
+// cmd/sgload measures it and cmd/sgstress hunts races in it.
 package serve
 
 import (
@@ -53,9 +55,9 @@ var errStaleLoad = errors.New("serve: load superseded by swap")
 //     installed set; k concurrent cold loads transiently hold up to k
 //     extra grids while in flight.
 //   - Acquire hands out refcounted leases. An evicted grid stays fully
-//     usable for existing lease holders; OnRetire fires once the last
-//     lease of an evicted grid is released, which is the hook the
-//     server uses to drain and close the grid's batcher without leaks.
+//     usable for existing lease holders; once the last lease of an
+//     evicted grid is released, OnRetire fires and the grid's file
+//     mapping is unmapped.
 type GridSet struct {
 	maxResident int
 	opts        []compactsg.Option
@@ -146,8 +148,7 @@ type entry struct {
 
 // loadCall is the singleflight slot for one in-flight file load.
 type loadCall struct {
-	done chan struct{} // closed when g/err are final
-	g    *compactsg.Grid
+	done chan struct{} // closed when err is final
 	err  error
 }
 
@@ -161,9 +162,6 @@ type Lease struct {
 
 // Grid returns the pinned grid instance.
 func (l *Lease) Grid() *compactsg.Grid { return l.e.grid }
-
-// Name returns the registry name the lease was acquired under.
-func (l *Lease) Name() string { return l.e.name }
 
 // Release drops the lease. After the grid has been evicted, the last
 // Release triggers the registry's OnRetire hook.
@@ -256,8 +254,9 @@ func (s *GridSet) AddStored(name, key string) error {
 // serving.
 //
 // The displaced instance follows the normal eviction path: in-flight
-// leases (and the batches riding them) finish on the old version, and
-// its file mapping is unmapped only after the last lease releases.
+// leases (a dispatched micro-batch holds one) finish on the old
+// version, and its file mapping is unmapped only after the last lease
+// releases.
 // Returns the version now installed.
 func (s *GridSet) Swap(name, path string, version uint64) (uint64, error) {
 	if name == "" {
@@ -267,9 +266,7 @@ func (s *GridSet) Swap(name, path string, version uint64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	g := og.Grid
 
-	var victims []*entry
 	s.mu.Lock()
 	src, ok := s.sources[name]
 	if !ok {
@@ -287,33 +284,11 @@ func (s *GridSet) Swap(name, path string, version uint64) (uint64, error) {
 	src.path = path
 	src.key = "" // the fresh file is the truth until Publish re-keys it
 	src.version = version
-	src.known = true
-	src.dim, src.level = g.Dim(), g.Level()
-	src.points, src.bytes = g.Points(), g.MemoryBytes()
-	e := &entry{name: src.name, grid: g, open: og}
-	e.refs.Store(1) // the registry's reference; no lease handed out
-	old := s.resident[name]
-	s.resident[name] = e
-	s.lruMu.Lock()
-	if old != nil {
-		s.lru.Remove(old.el)
-	}
-	e.el = s.lru.PushFront(e)
-	for s.lru.Len() > s.maxResident {
-		back := s.lru.Back()
-		v := back.Value.(*entry)
-		s.lru.Remove(back)
-		delete(s.resident, v.name)
-		victims = append(victims, v)
-	}
-	s.lruMu.Unlock()
+	_, victims := s.installLocked(src, og, 1) // the registry's reference; no lease handed out
 	s.mu.Unlock()
 
 	if s.OnSwap != nil {
 		s.OnSwap(src.name, version)
-	}
-	if old != nil {
-		s.finishEvict(old)
 	}
 	for _, v := range victims {
 		s.finishEvict(v)
@@ -390,13 +365,6 @@ func (s *GridSet) Names() []string {
 	return names
 }
 
-// Len returns the number of registered grids.
-func (s *GridSet) Len() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.sources)
-}
-
 // ResidentCount returns how many grids are currently in memory.
 func (s *GridSet) ResidentCount() int {
 	s.mu.RLock()
@@ -441,8 +409,8 @@ func (s *GridSet) Info() []GridInfo {
 // Get returns the named grid, loading it (and evicting the
 // least-recently-used resident grid if the bound is exceeded) as
 // needed. Every Get marks the grid most-recently-used. Get does not
-// pin the grid; callers that must keep using the instance across
-// evictions (the batcher does) should use Acquire instead. This
+// pin the grid; callers that keep using the instance, as every
+// evaluation does, should use Acquire instead. This
 // matters doubly for memory-mapped grids: once an evicted grid's last
 // lease is released its mapping is unmapped, and an unpinned instance
 // then faults on access.
@@ -559,7 +527,6 @@ func (s *GridSet) lead(sp *obs.Span, name string) (*Lease, *loadCall, error) {
 	took := time.Since(start)
 	sp.Add(obs.StageLoad, took)
 
-	var g *compactsg.Grid
 	var victims []*entry
 	var lease *Lease
 	var stale *compactsg.OpenGrid
@@ -573,26 +540,11 @@ func (s *GridSet) lead(sp *obs.Span, name string) (*Lease, *loadCall, error) {
 		err = errStaleLoad
 	}
 	if err == nil {
-		g = og.Grid
-		src.known = true
-		src.dim, src.level = g.Dim(), g.Level()
-		src.points, src.bytes = g.Points(), g.MemoryBytes()
-		e := &entry{name: name, grid: g, open: og}
-		e.refs.Store(2) // the registry's reference + this caller's lease
-		s.resident[name] = e
-		s.lruMu.Lock()
-		e.el = s.lru.PushFront(e)
-		for s.lru.Len() > s.maxResident {
-			back := s.lru.Back()
-			v := back.Value.(*entry)
-			s.lru.Remove(back)
-			delete(s.resident, v.name)
-			victims = append(victims, v)
-		}
-		s.lruMu.Unlock()
+		var e *entry
+		e, victims = s.installLocked(src, og, 2) // the registry's reference + this caller's lease
 		lease = &Lease{s: s, e: e}
 	}
-	lc.g, lc.err = g, err
+	lc.err = err
 	s.mu.Unlock()
 	close(lc.done)
 
@@ -615,6 +567,38 @@ func (s *GridSet) lead(sp *obs.Span, name string) (*Lease, *loadCall, error) {
 		s.finishEvict(v)
 	}
 	return lease, nil, nil
+}
+
+// installLocked makes og the resident instance of src, starting with
+// refs references (the registry's own plus any lease handed out with
+// it), and records its shape on src. It returns the new entry and the
+// entries to evict, with no hooks run yet: the instance it displaced
+// under the name, if any, first, then those the resident bound pushed
+// out of the LRU. Caller holds s.mu for writing.
+func (s *GridSet) installLocked(src *source, og *compactsg.OpenGrid, refs int64) (*entry, []*entry) {
+	g := og.Grid
+	src.known = true
+	src.dim, src.level = g.Dim(), g.Level()
+	src.points, src.bytes = g.Points(), g.MemoryBytes()
+	e := &entry{name: src.name, grid: g, open: og}
+	e.refs.Store(refs)
+	var victims []*entry
+	s.lruMu.Lock()
+	defer s.lruMu.Unlock()
+	if old := s.resident[src.name]; old != nil {
+		s.lru.Remove(old.el)
+		victims = append(victims, old)
+	}
+	s.resident[src.name] = e
+	e.el = s.lru.PushFront(e)
+	for s.lru.Len() > s.maxResident {
+		back := s.lru.Back()
+		v := back.Value.(*entry)
+		s.lru.Remove(back)
+		delete(s.resident, v.name)
+		victims = append(victims, v)
+	}
+	return e, victims
 }
 
 // touch marks an entry most-recently-used. Harmlessly a no-op if the
@@ -707,16 +691,6 @@ func (s *GridSet) ResidentPayloadBytes() int64 {
 		s.releaseEntry(e)
 	}
 	return sum
-}
-
-// IsCurrent reports whether g is the instance currently resident under
-// name. The server uses it to close the create-after-evict race when
-// wiring batchers to freshly acquired leases.
-func (s *GridSet) IsCurrent(name string, g *compactsg.Grid) bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	e, ok := s.resident[name]
-	return ok && e.grid == g
 }
 
 // Preload loads up to maxResident registered grids eagerly (sorted

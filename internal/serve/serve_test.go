@@ -23,7 +23,7 @@ import (
 
 // writeGrid compresses the parabola workload into a grid file and
 // returns its path plus an in-memory reference grid.
-func writeGrid(t *testing.T, dir string, dim, level int) (string, *compactsg.Grid) {
+func writeGrid(t testing.TB, dir string, dim, level int) (string, *compactsg.Grid) {
 	t.Helper()
 	g, err := compactsg.New(dim, level)
 	if err != nil {
@@ -142,7 +142,7 @@ func TestBatcherCoalesces(t *testing.T) {
 
 	var mu sync.Mutex
 	var flushes []int
-	b := newBatcher(g, 8, 5*time.Millisecond, func(n int) {
+	b := newBatcher(g.EvaluateBatch, 8, 5*time.Millisecond, func(n int) {
 		mu.Lock()
 		flushes = append(flushes, n)
 		mu.Unlock()
@@ -196,7 +196,7 @@ func TestBatcherSubmitAfterClose(t *testing.T) {
 	f, _ := os.Open(path)
 	g, _ := compactsg.LoadAny(f)
 	f.Close()
-	b := newBatcher(g, 4, time.Millisecond, nil)
+	b := newBatcher(g.EvaluateBatch, 4, time.Millisecond, nil)
 	b.close()
 	b.close() // idempotent
 	if _, err := b.submit(context.Background(), []float64{0.5, 0.5}); err != ErrClosed {
@@ -211,7 +211,7 @@ func TestBatcherSubmitContextTimeout(t *testing.T) {
 	g, _ := compactsg.LoadAny(f)
 	f.Close()
 	// Batch never fills and waits a long time, so the context gives up first.
-	b := newBatcher(g, 1024, time.Hour, nil)
+	b := newBatcher(g.EvaluateBatch, 1024, time.Hour, nil)
 	defer b.close()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
@@ -319,6 +319,12 @@ func TestServerEvalAndBatch(t *testing.T) {
 
 			x := []float64{0.25, 0.5, 0.75}
 			want, _ := ref.Evaluate(x)
+			// Batch and binary requests never coalesce, even of one point.
+			for _, ep := range []string{"/v1/eval/batch", "/v1/eval/bin"} {
+				if rec, _ := evalOne(t, h, ep, "g3", x); rec.Code != 200 || s.met.batchersNow.Value() != 0 {
+					t.Fatalf("%s: status %d, %v coalescers; want 200 and none", ep, rec.Code, s.met.batchersNow.Value())
+				}
+			}
 			for _, ep := range evalEndpoints {
 				rec, got := evalOne(t, h, ep, "g3", x)
 				if rec.Code != 200 {
@@ -577,8 +583,8 @@ func TestServerShutdownDrainsCoalesced(t *testing.T) {
 	waitFor(t, "the batcher to accept every call", func() bool {
 		s.mu.Lock()
 		defer s.mu.Unlock()
-		gb := s.batchers["g3"]
-		return gb != nil && gb.b.enqueued.Load() == int64(len(xs))
+		b := s.batchers["g3"]
+		return b != nil && b.enqueued.Load() == int64(len(xs))
 	})
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
@@ -623,6 +629,9 @@ func TestServerRefusesAfterClose(t *testing.T) {
 				if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "shutting down") {
 					t.Errorf("%s after Close: status %d body %s, want 503 shutting down", ep, rec.Code, rec.Body)
 				}
+			}
+			if n := s.met.batchersNow.Value(); n != 0 {
+				t.Errorf("%v coalescers after Close, want none", n)
 			}
 			if got := core.ActiveMappings(); got != baseline {
 				t.Fatalf("after Close: ActiveMappings %d, want %d", got, baseline)

@@ -2,7 +2,6 @@ package serve
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"log/slog"
 	"net"
@@ -32,10 +31,11 @@ type Config struct {
 	// MaxResident bounds how many grids stay loaded (LRU beyond it).
 	// Default 8.
 	MaxResident int
-	// Coalesce enables micro-batching of /v1/eval requests. When
-	// false every /v1/eval request evaluates immediately as a one-point
-	// batch on its own handler goroutine, through the same pipeline as
-	// /v1/eval/batch and /v1/eval/bin.
+	// Coalesce enables micro-batching of /v1/eval requests: each runs
+	// the same pipeline as /v1/eval/batch and /v1/eval/bin, except that
+	// its kernel step joins the grid name's open micro-batch. When false
+	// it evaluates at once as a one-point batch on its own handler
+	// goroutine. /v1/eval/batch and /v1/eval/bin never coalesce.
 	Coalesce bool
 	// MaxBatch is the micro-batch size cap. Default 256.
 	MaxBatch int
@@ -122,25 +122,22 @@ func (c *Config) fill() {
 }
 
 // Server is the HTTP evaluation service: routes, grid registry,
-// per-grid coalescers and metrics. Create with New, mount Handler
+// per-name coalescers and metrics. Create with New, mount Handler
 // into an http.Server, and call Close on shutdown (after
 // http.Server.Shutdown) to drain in-flight requests.
 //
-// /v1/eval/batch, /v1/eval/bin and uncoalesced /v1/eval run one
-// synchronous pipeline on their request goroutine (evaluate): admit,
-// lease the grid, validate, run the kernel, release the lease. The
-// lease is released by a plain defer once the kernel has returned, so
-// a grid evicted mid-request stays mapped exactly as long as the
-// request reads it.
+// Every eval endpoint runs one synchronous pipeline on its request
+// goroutine (evaluate): admit, lease the grid, validate, run the
+// kernel, release the lease. The lease is released by a plain defer
+// once the kernel has returned, so a grid evicted mid-request stays
+// mapped exactly as long as the request reads it.
 //
-// Batcher lifecycle: each coalescing batcher owns a registry Lease on
-// the exact grid instance it evaluates against. When the LRU evicts
-// that instance, the registry's OnEvict hook detaches the batcher,
-// drains it in the background, and the drain releases the lease — so
-// an evicted grid's flush goroutine always terminates instead of
-// leaking, and callers parked in its last open batch still get their
-// values, at that batch's deadline like any other. Close dispatches
-// those batches at once and waits for all such background drains.
+// A coalesced /v1/eval differs only in its kernel step, which joins
+// the open micro-batch of the grid name's coalescer. There is one
+// coalescer per name, created on the name's first coalesced read and
+// closed only by Close; swaps and evictions never touch it, because
+// each batch leases the instance installed under the name when it
+// dispatches and releases it once the kernel returns.
 type Server struct {
 	cfg    Config
 	grids  *GridSet
@@ -149,11 +146,9 @@ type Server struct {
 	online *onlineSet // nil unless cfg.Online.Enabled
 
 	mu       sync.Mutex
-	batchers map[string]*gridBatcher
+	batchers map[string]*batcher // per grid name; nil after Close
 	closed   bool
-	closing  chan struct{}  // closed by Close: retired batchers dispatch at once
 	inflight sync.WaitGroup // evaluations admitted before Close
-	drains   sync.WaitGroup // background batcher drains after eviction
 
 	// evalGate, when non-nil, runs right before the kernel, while the
 	// request holds its lease and counts as in flight. Tests use it to
@@ -162,13 +157,6 @@ type Server struct {
 	evalGate func(ctx context.Context, grid string)
 
 	met serverMetrics
-}
-
-// gridBatcher couples a batcher with the lease pinning its grid
-// instance; the lease is released only after the batcher has drained.
-type gridBatcher struct {
-	b     *batcher
-	lease *Lease
 }
 
 type serverMetrics struct {
@@ -201,11 +189,7 @@ type serverMetrics struct {
 // while) serving.
 func New(cfg Config) *Server {
 	cfg.fill()
-	s := &Server{
-		cfg:      cfg,
-		batchers: make(map[string]*gridBatcher),
-		closing:  make(chan struct{}),
-	}
+	s := &Server{cfg: cfg, batchers: make(map[string]*batcher)}
 	s.grids = NewGridSet(cfg.MaxResident, compactsg.WithWorkers(cfg.Workers))
 	s.grids.OnLoad = func(_ string, mode compactsg.LoadMode, took time.Duration) {
 		s.met.loads.Inc()
@@ -215,10 +199,9 @@ func New(cfg Config) *Server {
 	}
 	s.grids.OnLoadFail = func(string, error) { s.met.loadFails.Inc() }
 	s.grids.OnLoadWait = func(string) { s.met.loadWaits.Inc() }
-	s.grids.OnEvict = func(name string, g *compactsg.Grid) {
+	s.grids.OnEvict = func(string, *compactsg.Grid) {
 		s.met.evictions.Inc()
 		s.met.resident.Set(float64(s.grids.ResidentCount()))
-		s.dropBatcherForGrid(name, g)
 	}
 	s.grids.OnSwap = func(name string, version uint64) {
 		s.met.swaps.Inc()
@@ -237,8 +220,8 @@ func New(cfg Config) *Server {
 		loadSecs:    r.NewHistogram("sgserve_grid_load_seconds", "Wall time of grid file loads (read + decode), in seconds.", metrics.DefLoadBuckets),
 		loadWaits:   r.NewCounter("sgserve_grid_load_waits_total", "Requests that piggybacked on another request's in-flight load of the same grid (singleflight followers)."),
 		evictions:   r.NewCounter("sgserve_grid_evictions_total", "LRU grid evictions."),
-		batchersNow: r.NewGauge("sgserve_batchers_active", "Per-grid micro-batch coalescers currently attached."),
-		drainsTotal: r.NewCounter("sgserve_batcher_drains_total", "Batchers drained and closed after their grid instance was evicted or replaced."),
+		batchersNow: r.NewGauge("sgserve_batchers_active", "Micro-batch coalescers, one per grid name that has served a coalesced /v1/eval."),
+		drainsTotal: r.NewCounter("sgserve_batcher_drains_total", "Coalescers drained and closed by server shutdown (swaps and evictions keep them, so this reads 0 while serving)."),
 		openConns:   r.NewGauge("sgserve_open_connections", "TCP connections currently open on the server (accepted and not yet closed or hijacked); wire http.Server.ConnState to Server.ConnState to feed it."),
 
 		observations: r.NewCounter("sgserve_observations_total", "Nodal observations applied to online adaptive models."),
@@ -405,35 +388,27 @@ func (s *Server) Tracer() *obs.Tracer { return s.front.tracer }
 func (s *Server) Handler() http.Handler { return s.mux }
 
 // Close refuses new evaluations with ErrClosed (503), stops the online
-// refiner, drains and stops every per-grid coalescer, waits for the
-// evaluations already admitted to answer and for the background drains
-// of already-evicted batchers, then purges the grid registry so no grid
-// (and no snapshot file mapping) outlives the server. Call it after
-// http.Server.Shutdown so admitted requests still get their values.
-// Safe to call more than once.
+// refiner, dispatches every coalescer's open batch at once and closes
+// it, waits for the evaluations already admitted to answer, then purges
+// the grid registry so no grid (and no snapshot file mapping) outlives
+// the server. Call it after http.Server.Shutdown so admitted requests
+// still get their values. Safe to call more than once.
 func (s *Server) Close() error {
 	s.mu.Lock()
 	first := !s.closed
-	if first {
-		close(s.closing)
-	}
 	s.closed = true
-	bs := make([]*gridBatcher, 0, len(s.batchers))
-	for _, gb := range s.batchers {
-		bs = append(bs, gb)
-	}
-	s.batchers = make(map[string]*gridBatcher)
+	bs := s.batchers
+	s.batchers = nil
 	s.met.batchersNow.Set(0)
 	s.mu.Unlock()
 	if first && s.online != nil {
 		s.online.close()
 	}
-	for _, gb := range bs {
-		gb.b.close()
-		gb.lease.Release()
+	for _, b := range bs {
+		b.close()
+		s.met.drainsTotal.Inc()
 	}
 	s.inflight.Wait()
-	s.drains.Wait()
 	s.grids.Purge()
 	return nil
 }
@@ -450,91 +425,50 @@ func (s *Server) admit() error {
 	return nil
 }
 
-// isClosed reports whether Close has begun.
-func (s *Server) isClosed() bool {
+// batcherFor returns name's coalescer, creating it on the name's first
+// coalesced read, or ErrClosed once Close has begun.
+func (s *Server) batcherFor(name string) (*batcher, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.closed
-}
-
-// batcherFor returns the coalescer bound to the grid instance currently
-// resident under name, creating it on first use. Acquiring the lease
-// also touches the grid's LRU slot so hot grids stay resident.
-func (s *Server) batcherFor(ctx context.Context, name string) (*batcher, error) {
-	lease, err := s.grids.Acquire(ctx, name)
-	if err != nil {
-		return nil, err
-	}
-	s.mu.Lock()
 	if s.closed {
-		s.mu.Unlock()
-		lease.Release()
 		return nil, ErrClosed
 	}
-	if gb, ok := s.batchers[name]; ok && gb.lease.Grid() == lease.Grid() {
-		s.mu.Unlock()
-		lease.Release()
-		return gb.b, nil
+	b := s.batchers[name]
+	if b == nil {
+		b = newBatcher(s.evalLatest(name), s.cfg.MaxBatch, s.cfg.BatchWait, func(n int) {
+			s.met.batchSize.Observe(float64(n))
+			s.met.points.Add(uint64(n))
+		})
+		s.batchers[name] = b
+		s.met.batchersNow.Set(float64(len(s.batchers)))
 	}
-	// Either no batcher yet, or a stale one still bound to an evicted
-	// instance (its eviction drain hasn't detached it yet) — replace it.
-	var stale *gridBatcher
-	if gb, ok := s.batchers[name]; ok {
-		stale = gb
-		delete(s.batchers, name)
-	}
-	gb := &gridBatcher{lease: lease}
-	gb.b = newBatcher(lease.Grid(), s.cfg.MaxBatch, s.cfg.BatchWait, func(n int) {
-		s.met.batchSize.Observe(float64(n))
-		s.met.points.Add(uint64(n))
-	})
-	s.batchers[name] = gb
-	s.met.batchersNow.Set(float64(len(s.batchers)))
-	if stale != nil {
-		s.retireLocked(stale)
-	}
-	s.mu.Unlock()
-
-	// Close the create-after-evict race: if our instance was evicted
-	// between Acquire and the map insert above, OnEvict may have run
-	// before the batcher existed and missed it. Re-check residency and
-	// retire the batcher ourselves if so (exactly one of the two paths
-	// wins the map removal, so the drain happens once).
-	if !s.grids.IsCurrent(name, lease.Grid()) {
-		s.dropBatcherForGrid(name, lease.Grid())
-	}
-	return gb.b, nil
+	return b, nil
 }
 
-// dropBatcherForGrid detaches the batcher bound to the grid instance g
-// (if that is still the one attached under name) and drains it in the
-// background: its queued requests complete against the old instance,
-// then the drain releases the instance's lease.
-func (s *Server) dropBatcherForGrid(name string, g *compactsg.Grid) {
-	s.mu.Lock()
-	gb, ok := s.batchers[name]
-	if !ok || gb.lease.Grid() != g {
-		s.mu.Unlock()
-		return
+// evalLatest is the kernel of name's coalescer. Each batch leases the
+// instance installed under name when it dispatches, so a read answers
+// from a version installed between its send and its reply, and
+// releases the lease once the kernel returns. A swap since the calls
+// were validated may have changed the grid's dimension; a point that no
+// longer fits gets a 400, and the batcher keeps that error to its own
+// call.
+func (s *Server) evalLatest(name string) evalFunc {
+	return func(xs [][]float64, out []float64) ([]float64, error) {
+		// No one caller's context bounds a batch that answers many; a
+		// cold load it waits on always runs to completion.
+		lease, err := s.grids.Acquire(context.Background(), name)
+		if err != nil {
+			return nil, err
+		}
+		defer lease.Release()
+		g := lease.Grid()
+		for _, x := range xs {
+			if err := validatePoint(x, g.Dim(), 0); err != nil {
+				return nil, err
+			}
+		}
+		return g.EvaluateBatch(xs, out)
 	}
-	delete(s.batchers, name)
-	s.met.batchersNow.Set(float64(len(s.batchers)))
-	s.retireLocked(gb)
-	s.mu.Unlock()
-}
-
-// retireLocked schedules a background drain of a detached batcher (its
-// open batch keeps its deadline until Close). Caller holds s.mu; the
-// WaitGroup increment happens under the lock so Close (which inspects
-// the map under the same lock) can never miss a drain in flight.
-func (s *Server) retireLocked(gb *gridBatcher) {
-	s.met.drainsTotal.Inc()
-	s.drains.Add(1)
-	go func() {
-		defer s.drains.Done()
-		gb.b.retire(s.closing)
-		gb.lease.Release()
-	}()
 }
 
 // ---------------------------------------------------------------------
@@ -603,54 +537,11 @@ func (s *Server) handleEval(r *http.Request) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	if s.cfg.Coalesce {
-		v, err := s.evalCoalesced(r.Context(), name, req.Point)
-		if err != nil {
-			return nil, err
-		}
-		return evalResponse{Value: v}, nil
-	}
 	out := make([]float64, 1)
-	if err := s.evaluate(r.Context(), name, [][]float64{req.Point}, out); err != nil {
+	if err := s.evaluate(r.Context(), name, [][]float64{req.Point}, out, s.cfg.Coalesce); err != nil {
 		return nil, err
 	}
 	return evalResponse{Value: out[0]}, nil
-}
-
-// evalCoalesced evaluates one point through the grid's micro-batch
-// coalescer. An ErrClosed from submit normally means "this batcher was
-// retired because its grid instance was evicted between lookup and
-// enqueue"; it retries against a freshly attached batcher (bounded by
-// ctx). Only a server-wide Close surfaces ErrClosed to the client.
-// Queue wait, dispatch, eval and batch size are recorded on the span
-// by submit, from the timings the flush loop hands back.
-func (s *Server) evalCoalesced(ctx context.Context, name string, x []float64) (float64, error) {
-	sp := obs.FromContext(ctx)
-	sp.SetGrid(name)
-	sp.SetPoints(1)
-	if err := s.admit(); err != nil {
-		return 0, err
-	}
-	defer s.inflight.Done()
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.RequestTimeout)
-	defer cancel()
-	for {
-		b, err := s.batcherFor(ctx, name)
-		if err != nil {
-			return 0, err
-		}
-		sp.Begin(obs.StageValidate)
-		err = validatePoint(x, b.grid.Dim(), 0)
-		sp.End(obs.StageValidate)
-		if err != nil {
-			return 0, err
-		}
-		v, err := b.submit(ctx, x)
-		if errors.Is(err, ErrClosed) && !s.isClosed() {
-			continue
-		}
-		return v, err
-	}
 }
 
 func (s *Server) handleEvalBatch(r *http.Request) (any, error) {
@@ -663,20 +554,22 @@ func (s *Server) handleEvalBatch(r *http.Request) (any, error) {
 		return nil, err
 	}
 	out := make([]float64, len(req.Points))
-	if err := s.evaluate(r.Context(), name, req.Points, out); err != nil {
+	if err := s.evaluate(r.Context(), name, req.Points, out, false); err != nil {
 		return nil, err
 	}
 	return batchResponse{Values: out}, nil
 }
 
-// evaluate is the pipeline behind /v1/eval/batch, /v1/eval/bin and
-// uncoalesced /v1/eval, which differ only in how they decode pts and
-// encode out. It admits the request (ErrClosed once Close has begun),
-// caps its size, leases the grid, validates the points and runs the
-// kernel into out, all on the calling goroutine. The request timeout
-// stops the kernel at its next cache-block boundary, and the lease is
-// released only after the kernel has returned.
-func (s *Server) evaluate(ctx context.Context, name string, pts [][]float64, out []float64) error {
+// evaluate is the pipeline behind every eval endpoint, which differ
+// only in how they decode pts and encode out. It admits the request
+// (ErrClosed once Close has begun), caps its size, leases the grid,
+// validates the points and runs the kernel into out, all on the calling
+// goroutine. The request timeout stops the kernel at its next
+// cache-block boundary, and the lease is released only after the
+// kernel has returned. With coalesce (a single point from /v1/eval),
+// the kernel step is a submit to the name's coalescer instead, which
+// records the queue wait, dispatch, eval and batch size itself.
+func (s *Server) evaluate(ctx context.Context, name string, pts [][]float64, out []float64, coalesce bool) error {
 	sp := obs.FromContext(ctx)
 	sp.SetGrid(name)
 	sp.SetPoints(len(pts))
@@ -710,6 +603,14 @@ func (s *Server) evaluate(ctx context.Context, name string, pts [][]float64, out
 	sp.End(obs.StageValidate)
 	if s.evalGate != nil {
 		s.evalGate(ctx, name)
+	}
+	if coalesce {
+		b, err := s.batcherFor(name)
+		if err != nil {
+			return err
+		}
+		out[0], err = b.submit(ctx, pts[0])
+		return err
 	}
 	sp.Begin(obs.StageEval)
 	_, err = g.EvaluateBatchContext(ctx, pts, out)
