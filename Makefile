@@ -77,8 +77,9 @@ staticcheck:
 # and the format-sniffing LoadAny entry point — plus the kernel
 # identity targets: parallel hierarchization and batch evaluation
 # (random batch size, workers and block width) against their reference
-# kernels, the three eval endpoints against each other, and the
-# /metrics exposition round trip (WritePrometheus → Parse). Each
+# kernels, the three eval endpoints against each other, op sequences
+# over the grid registry, and the /metrics exposition round trip
+# (WritePrometheus → Parse). Each
 # target gets $(FUZZTIME); the committed corpus under testdata/fuzz/
 # (including the nonzero-padding crasher FuzzSnapshot found) always
 # replays in plain `go test`.
@@ -91,6 +92,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalTableIdentity$$' -fuzztime $(FUZZTIME) ./internal/eval
 	$(GO) test -run '^$$' -fuzz '^FuzzBinaryFrame$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzEvalEndpointsAgree$$' -fuzztime $(FUZZTIME) ./internal/serve
+	$(GO) test -run '^$$' -fuzz '^FuzzRegistryOps$$' -fuzztime $(FUZZTIME) ./internal/serve
 	$(GO) test -run '^$$' -fuzz '^FuzzAdaptiveInvariants$$' -fuzztime $(FUZZTIME) ./internal/adaptive
 	$(GO) test -run '^$$' -fuzz '^FuzzStoreCacheIndex$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/store
 	$(GO) test -run '^$$' -fuzz '^FuzzMetricsRoundTrip$$' -fuzztime $(FUZZTIME) -fuzzminimizetime 20x ./internal/serve/metrics

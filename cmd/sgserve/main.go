@@ -196,15 +196,6 @@ func run(args []string) error {
 
 	for _, nv := range named {
 		name, path, _ := strings.Cut(nv, "=")
-		if key, ok := strings.CutPrefix(path, "store:"); ok {
-			if st == nil {
-				return fmt.Errorf("-grid %s=store:...: store-backed grids need -store-dir", name)
-			}
-			if err := srv.AddStoredGrid(name, key); err != nil {
-				return err
-			}
-			continue
-		}
 		if err := srv.AddGrid(name, path); err != nil {
 			return err
 		}

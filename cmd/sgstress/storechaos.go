@@ -146,7 +146,7 @@ func storeChaos(cfg config) error {
 	sc.Store = st
 	srv := serve.New(sc)
 	for _, g := range catalog {
-		if err := srv.AddStoredGrid(g.name, g.key); err != nil {
+		if err := srv.AddGrid(g.name, "store:"+g.key); err != nil {
 			return err
 		}
 	}

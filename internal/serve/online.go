@@ -221,7 +221,7 @@ type RefineResult struct {
 
 // refine runs one commit → refine → export → snapshot → swap round for
 // m. Rounds of one model are serialized by m.mu; the read path never
-// blocks on them (the swap itself is the registry's brief write lock).
+// blocks on them (the swap itself holds the registry mutex only briefly).
 func (o *onlineSet) refine(m *onlineModel) (RefineResult, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()

@@ -395,9 +395,9 @@ func TestSwapDiscardsSupersededInflightLoad(t *testing.T) {
 	}()
 	// Wait until that load is in flight, then swap.
 	for {
-		s.mu.RLock()
-		_, inflight := s.loading["g"]
-		s.mu.RUnlock()
+		s.mu.Lock()
+		inflight := s.sources["g"].load != nil
+		s.mu.Unlock()
 		if inflight {
 			break
 		}

@@ -1,12 +1,13 @@
 // Package serve is the HTTP evaluation service over compressed sparse
-// grids: an LRU-bounded registry of grid files and store keys that
-// leases out hot-swappable instances; one evaluation pipeline behind
-// the JSON and binary endpoints, whose single-point /v1/eval may
-// coalesce into micro-batches per grid name (the paper's batched
-// decompression, Alg. 7 + Sec. 4.3 blocking); the online write path;
-// and the request front, with Prometheus-style metrics and traces,
-// that sgproxy shares. cmd/sgserve is the thin binary around it;
-// cmd/sgload measures it and cmd/sgstress hunts races in it.
+// grids: an LRU-bounded registry that keeps one record per grid name,
+// located by a file path or a `store:` content key, and leases out
+// hot-swappable instances; one evaluation pipeline behind the JSON and
+// binary endpoints, whose single-point /v1/eval may coalesce into
+// micro-batches per grid name (the paper's batched decompression,
+// Alg. 7 + Sec. 4.3 blocking); the online write path; and the request
+// front, with Prometheus-style metrics and traces, that sgproxy
+// shares. cmd/sgserve is the thin binary around it; cmd/sgload
+// measures it and cmd/sgstress hunts races in it.
 package serve
 
 import (
@@ -15,6 +16,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -39,46 +41,53 @@ var ErrStaleSwap = errors.New("serve: stale swap: version not newer than install
 // registry.
 var errStaleLoad = errors.New("serve: load superseded by swap")
 
-// GridSet is a name → compressed-grid registry. Grids are loaded
-// lazily from their files on first use and at most MaxResident stay in
-// memory; least-recently-used grids are evicted when the bound is hit
-// (their files remain registered, so a later request reloads them).
+// storePrefix marks a locator as an SGC2 content key in the tiered
+// store; any other locator is a file path.
+const storePrefix = "store:"
+
+// GridSet is a name → compressed-grid registry with one record
+// (source) per name: its locator, version, shape, resident instance,
+// in-flight load and the instance the LRU last evicted. Grids load
+// lazily on first use and at most MaxResident stay in memory;
+// least-recently-used grids are evicted when the bound is hit (their
+// records remain, so a later request reloads them).
 //
 // Concurrency contract (the serving hot path depends on it):
 //
-//   - Lookups of resident grids take only a read lock plus a brief
-//     LRU-list mutex; they never wait on disk.
-//   - A cold load runs with NO registry lock held, deduplicated per
-//     name by a singleflight: concurrent requests for the same cold
-//     grid share one file read, and requests for other grids (resident
-//     or cold) proceed independently. The resident bound applies to the
-//     installed set; k concurrent cold loads transiently hold up to k
-//     extra grids while in flight.
+//   - One mutex guards every record and the LRU list. It is never held
+//     across a file read, a store call or a hook, so a resident Acquire
+//     is one short critical section and never waits on disk.
+//   - A cold load runs with no lock held, deduplicated per name by a
+//     singleflight: concurrent requests for the same cold grid share one
+//     read, and requests for other grids (resident or cold) proceed
+//     independently. The resident bound applies to the installed set; k
+//     concurrent cold loads transiently hold up to k extra grids while
+//     in flight.
 //   - Acquire hands out refcounted leases. An evicted grid stays fully
-//     usable for existing lease holders; once the last lease of an
-//     evicted grid is released, OnRetire fires and the grid's file
-//     mapping is unmapped.
+//     usable for existing lease holders; while one still holds it and no
+//     Swap has replaced it, a cold Acquire re-installs it instead of
+//     reading it again. Once the last lease of an evicted grid is
+//     released, OnRetire fires and its file mapping is unmapped.
+//   - A load, a Swap and a re-install make an instance resident through
+//     the one install step, installLocked.
 type GridSet struct {
 	maxResident int
 	opts        []compactsg.Option
 
-	mu       sync.RWMutex // guards sources, resident, loading
-	sources  map[string]*source
-	resident map[string]*entry
-	loading  map[string]*loadCall
-
-	lruMu sync.Mutex
-	lru   *list.List // front = most recently used; values are *entry
+	mu      sync.Mutex // guards sources, every record and lru
+	sources map[string]*source
+	lru     list.List // resident records, front = most recently used
 
 	// Lifecycle hooks. All of them are called with NO registry lock
 	// held, so they may call back into the GridSet freely. They must be
 	// set before the registry sees traffic and not changed afterwards.
 	//
-	// OnLoad fires after a grid file was read and installed (took is
-	// the wall time of the cold load; mode says whether the payload was
-	// memory-mapped or copied). OnLoadFail fires for each load attempt
-	// that ended in an error. OnLoadWait fires for each caller that
-	// piggybacked on another goroutine's in-flight load of the same
+	// OnLoad fires after a grid was read and installed (took is the wall
+	// time of the cold load; mode says whether the payload was
+	// memory-mapped or copied); a re-install of a leased evicted instance
+	// is not a load and fires nothing. OnLoadFail fires for each load
+	// attempt that ended in an error. OnLoadWait fires for each caller
+	// that piggybacked on another goroutine's in-flight load of the same
 	// grid. OnEvict fires right after a grid leaves the resident set.
 	// OnRetire fires when the last lease of an evicted grid is released
 	// (never for resident grids, which always hold the registry's own
@@ -99,54 +108,80 @@ type GridSet struct {
 	// publish never fails the swap.
 	OnPublish func(name, key string, err error)
 
-	// LoadHook, if set, runs inside every file load (no locks held),
-	// before the file is opened. It exists for tests and the sgstress
-	// chaos harness to inflate or fail loads deterministically.
+	// LoadHook, if set, runs inside every load (no locks held), before
+	// the file is opened. It exists for tests and the sgstress chaos
+	// harness to inflate or fail loads deterministically.
 	LoadHook func(name string) error
 
-	// store, when set, backs the cold-load path of key-registered
-	// sources: cache hit → mmap, miss → fetch → verify → cache → mmap.
-	// Set once via SetStore before the registry sees traffic.
+	// store, when set, backs the cold-load path of store: locators:
+	// cache hit → mmap, miss → fetch → verify → cache → mmap. Set once
+	// via SetStore before the registry sees traffic.
 	store *store.Store
 }
 
+// source is the registry's record of one name. All fields but name
+// are guarded by GridSet.mu.
 type source struct {
 	name string // the registry's own copy of the key (see CanonicalName)
-	path string
-	// key, when non-empty, is the SGC2 content address the grid loads
-	// from through the tiered store (it wins over path). Guarded by
-	// GridSet.mu.
-	key string
-	// Metadata cached from the first successful load so /v1/grids can
-	// describe evicted grids without touching the file again. Guarded
-	// by GridSet.mu.
-	known  bool
-	dim    int
-	level  int
-	points int64
-	bytes  int64
+	// from locates the grid, in sgserve's -grid grammar: a file path, or
+	// "store:" plus the SGC2 content address it loads from through the
+	// tiered store.
+	from string
 	// version is the per-name monotonic swap counter: 0 for a static
-	// registration, bumped by every successful Swap. Guarded by
-	// GridSet.mu.
+	// registration, bumped by every successful Swap.
 	version uint64
+	// Shape of the last installed instance, so /v1/grids can describe
+	// evicted grids without touching the file again; zero until then.
+	dim, level    int
+	points, bytes int64
+
+	cur  *entry        // the resident instance; nil while cold
+	el   *list.Element // cur's place in GridSet.lru
+	load *loadCall     // the in-flight load; nil when none
+	// evicted is the instance the LRU last evicted. While it is still
+	// leased, a cold Acquire re-installs it. Every install forgets it,
+	// so a Swap's older version never comes back; the release that
+	// retires it clears it, and Purge never sets it.
+	evicted *entry
 }
 
-// entry is one resident (or recently evicted but still leased) grid.
+// entry is one loaded instance of a grid: resident, or evicted and
+// still leased.
 type entry struct {
-	name string
-	grid *compactsg.Grid
-	// open owns the grid's backing storage: for mmap loads closing it
-	// unmaps the file, so it must happen only after the last lease is
+	src *source
+	// open owns the grid and its backing storage: for mmap loads closing
+	// it unmaps the file, so it must happen only after the last lease is
 	// gone. Closed by whoever drops refs to zero, after OnRetire.
 	open *compactsg.OpenGrid
-	el   *list.Element
 	// refs counts outstanding leases plus one reference owned by the
 	// registry while the entry is resident. Eviction drops the registry
-	// reference; whoever drops refs to zero runs the retire hook.
+	// reference; whoever drops refs to zero runs the retire hook, and
+	// refs never rises from zero again (see revive).
 	refs atomic.Int64
 }
 
-// loadCall is the singleflight slot for one in-flight file load.
+func newEntry(src *source, og *compactsg.OpenGrid, refs int64) *entry {
+	e := &entry{src: src, open: og}
+	e.refs.Store(refs)
+	return e
+}
+
+// revive takes the registry's reference and one lease on an evicted
+// entry that is still leased. It fails once refs has reached zero, so
+// an instance that has begun retiring (unmapping) stays retired.
+func (e *entry) revive() bool {
+	for {
+		n := e.refs.Load()
+		if n == 0 {
+			return false
+		}
+		if e.refs.CompareAndSwap(n, n+2) {
+			return true
+		}
+	}
+}
+
+// loadCall is the singleflight slot for one in-flight load.
 type loadCall struct {
 	done chan struct{} // closed when err is final
 	err  error
@@ -161,7 +196,7 @@ type Lease struct {
 }
 
 // Grid returns the pinned grid instance.
-func (l *Lease) Grid() *compactsg.Grid { return l.e.grid }
+func (l *Lease) Grid() *compactsg.Grid { return l.e.open.Grid }
 
 // Release drops the lease. After the grid has been evicted, the last
 // Release triggers the registry's OnRetire hook.
@@ -176,35 +211,40 @@ func (l *Lease) Release() {
 // compactsg.WithWorkers here so batch dispatch uses the server's
 // worker pool.
 func NewGridSet(maxResident int, opts ...compactsg.Option) *GridSet {
-	if maxResident < 1 {
-		maxResident = 1
-	}
-	return &GridSet{
-		maxResident: maxResident,
-		opts:        opts,
-		sources:     make(map[string]*source),
-		resident:    make(map[string]*entry),
-		loading:     make(map[string]*loadCall),
-		lru:         list.New(),
-	}
+	return &GridSet{maxResident: max(maxResident, 1), opts: opts, sources: make(map[string]*source)}
 }
 
-// Add registers a grid file under name. The file is not opened until
-// the first Get/Acquire (or Preload). Add is safe to call while the
-// registry is serving traffic (mid-flight registration is exactly what
-// cmd/sgstress exercises).
-func (s *GridSet) Add(name, path string) error {
+// Add registers a grid under name, located by from in sgserve's -grid
+// grammar: a file path, or "store:" plus an SGC2 content address that
+// loads through the tiered store (which needs SetStore first; a file
+// literally named "store:…" is passed as "./store:…"). Nothing is read
+// until the first Get/Acquire (or Preload). Add is safe to call while
+// the registry is serving traffic (mid-flight registration is exactly
+// what cmd/sgstress exercises).
+func (s *GridSet) Add(name, from string) error {
 	if name == "" {
 		return fmt.Errorf("serve: empty grid name")
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if key, ok := strings.CutPrefix(from, storePrefix); ok {
+		if err := store.ValidateKey(key); err != nil {
+			return err
+		}
+		if s.store == nil {
+			return fmt.Errorf("serve: grid %q is store-backed but no store is configured", name)
+		}
+	}
 	if _, dup := s.sources[name]; dup {
 		return fmt.Errorf("serve: grid %q registered twice", name)
 	}
-	s.sources[name] = &source{name: name, path: path}
+	s.sources[name] = &source{name: name, from: from}
 	return nil
 }
+
+// AddStored registers a grid that loads from the tiered store by SGC2
+// content address: Add(name, "store:"+key).
+func (s *GridSet) AddStored(name, key string) error { return s.Add(name, storePrefix+key) }
 
 // SetStore wires a tiered snapshot store behind the cold-load path.
 // Must be called before the registry sees traffic.
@@ -212,36 +252,6 @@ func (s *GridSet) SetStore(st *store.Store) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.store = st
-}
-
-// Store returns the configured tiered store, or nil.
-func (s *GridSet) Store() *store.Store {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.store
-}
-
-// AddStored registers a grid that loads from the tiered store by SGC2
-// content address instead of a file path: a cache hit mmaps the cached
-// object, a miss fetches it from the remote tier (verified end to end)
-// first. Requires SetStore.
-func (s *GridSet) AddStored(name, key string) error {
-	if name == "" {
-		return fmt.Errorf("serve: empty grid name")
-	}
-	if err := store.ValidateKey(key); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.store == nil {
-		return fmt.Errorf("serve: grid %q is store-backed but no store is configured", name)
-	}
-	if _, dup := s.sources[name]; dup {
-		return fmt.Errorf("serve: grid %q registered twice", name)
-	}
-	s.sources[name] = &source{name: name, key: key}
-	return nil
 }
 
 // Swap atomically installs path as a strictly newer version of name,
@@ -257,12 +267,19 @@ func (s *GridSet) AddStored(name, key string) error {
 // leases (a dispatched micro-batch holds one) finish on the old
 // version, and its file mapping is unmapped only after the last lease
 // releases.
+//
+// With a store configured, the snapshot is then published into it and
+// the name re-keyed under its content address, so post-eviction reloads
+// hit the cache (and other nodes can fetch it). Best-effort: the swap
+// already succeeded. The previous version's object leaves the local
+// cache once no record locates it (a pinned one is left to the cap);
+// the remote tier keeps every version.
 // Returns the version now installed.
 func (s *GridSet) Swap(name, path string, version uint64) (uint64, error) {
 	if name == "" {
 		return 0, fmt.Errorf("serve: empty grid name")
 	}
-	og, err := s.load(name, path, "")
+	og, err := s.load(name, path)
 	if err != nil {
 		return 0, err
 	}
@@ -270,7 +287,7 @@ func (s *GridSet) Swap(name, path string, version uint64) (uint64, error) {
 	s.mu.Lock()
 	src, ok := s.sources[name]
 	if !ok {
-		src = &source{name: name, path: path}
+		src = &source{name: name}
 		s.sources[name] = src
 	}
 	if version == 0 {
@@ -281,33 +298,33 @@ func (s *GridSet) Swap(name, path string, version uint64) (uint64, error) {
 		og.Close()
 		return installed, fmt.Errorf("%w: version %d <= installed %d for %q", ErrStaleSwap, version, installed, name)
 	}
-	src.path = path
-	src.key = "" // the fresh file is the truth until Publish re-keys it
-	src.version = version
-	_, victims := s.installLocked(src, og, 1) // the registry's reference; no lease handed out
+	prev := src.from
+	src.from, src.version = path, version
+	victims := s.installLocked(src, newEntry(src, og, 1)) // the registry's reference; no lease handed out
 	s.mu.Unlock()
 
 	if s.OnSwap != nil {
-		s.OnSwap(src.name, version)
+		s.OnSwap(name, version)
 	}
-	for _, v := range victims {
-		s.finishEvict(v)
+	s.evict(victims)
+	if s.store == nil {
+		return version, nil
 	}
-	// Publish the installed snapshot into the tiered store so
-	// post-eviction reloads hit the cache (and other nodes can fetch
-	// it). Best-effort: the swap already succeeded.
-	if st := s.Store(); st != nil {
-		key, perr := st.Publish(context.Background(), path)
-		if perr == nil {
-			s.mu.Lock()
-			if src, ok := s.sources[name]; ok && src.version == version {
-				src.key = key
-			}
-			s.mu.Unlock()
-		}
-		if s.OnPublish != nil {
-			s.OnPublish(name, key, perr)
-		}
+	key, perr := s.store.Publish(context.Background(), path)
+	s.mu.Lock()
+	if perr == nil && src.version == version {
+		src.from = storePrefix + key
+	}
+	displaced, drop := strings.CutPrefix(prev, storePrefix)
+	for _, o := range s.sources {
+		drop = drop && o.from != prev // keep an object another record locates
+	}
+	s.mu.Unlock()
+	if drop {
+		s.store.Drop(displaced) // ErrPinned: a load still reads it; the cap evicts it later
+	}
+	if s.OnPublish != nil {
+		s.OnPublish(name, key, perr)
 	}
 	return version, nil
 }
@@ -315,8 +332,8 @@ func (s *GridSet) Swap(name, path string, version uint64) (uint64, error) {
 // Version returns the monotonic swap counter installed under name: 0
 // for static registrations (and unknown names), ≥ 1 once Swap has run.
 func (s *GridSet) Version(name string) uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if src, ok := s.sources[name]; ok {
 		return src.version
 	}
@@ -326,8 +343,8 @@ func (s *GridSet) Version(name string) uint64 {
 // Versions returns the swap counter of every grid that has one
 // (version ≥ 1), name → version.
 func (s *GridSet) Versions() map[string]uint64 {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	out := make(map[string]uint64)
 	for name, src := range s.sources {
 		if src.version > 0 {
@@ -344,8 +361,8 @@ func (s *GridSet) Versions() map[string]uint64 {
 // names report ok=false and the caller builds its error however it
 // likes.
 func (s *GridSet) CanonicalName(b []byte) (string, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	src, ok := s.sources[string(b)]
 	if !ok {
 		return "", false
@@ -355,21 +372,21 @@ func (s *GridSet) CanonicalName(b []byte) (string, bool) {
 
 // Names returns all registered grid names, sorted.
 func (s *GridSet) Names() []string {
-	s.mu.RLock()
+	s.mu.Lock()
 	names := make([]string, 0, len(s.sources))
 	for n := range s.sources {
 		names = append(names, n)
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	sort.Strings(names)
 	return names
 }
 
 // ResidentCount returns how many grids are currently in memory.
 func (s *GridSet) ResidentCount() int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.resident)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.lru.Len()
 }
 
 // GridInfo describes one registered grid for /v1/grids.
@@ -388,20 +405,13 @@ type GridInfo struct {
 
 // Info lists every registered grid, sorted by name.
 func (s *GridSet) Info() []GridInfo {
-	s.mu.RLock()
+	s.mu.Lock()
 	out := make([]GridInfo, 0, len(s.sources))
 	for name, src := range s.sources {
-		gi := GridInfo{Name: name}
-		if _, ok := s.resident[name]; ok {
-			gi.Resident = true
-		}
-		if src.known {
-			gi.Dim, gi.Level, gi.Points, gi.MemoryBytes = src.dim, src.level, src.points, src.bytes
-		}
-		gi.Version = src.version
-		out = append(out, gi)
+		out = append(out, GridInfo{Name: name, Resident: src.cur != nil,
+			Dim: src.dim, Level: src.level, Points: src.points, MemoryBytes: src.bytes, Version: src.version})
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
 }
@@ -424,51 +434,50 @@ func (s *GridSet) Get(name string) (*compactsg.Grid, error) {
 	return g, nil
 }
 
-// Acquire returns a refcounted lease on the named grid, loading it
-// first if it is cold. ctx bounds only the wait for an in-flight load
-// by another goroutine; a load this caller leads always runs to
-// completion so the result can be shared.
+// Acquire returns a refcounted lease on the named grid, marking it
+// most-recently-used. A cold grid is re-installed from its evicted
+// instance while a lease still holds that one, and loaded otherwise.
+// ctx bounds only the wait for an in-flight load by another goroutine;
+// a load this caller leads always runs to completion so the result can
+// be shared.
 //
 // When ctx carries an obs.Span, cold-path time is attributed on it: a
 // load this caller led as StageLoad, waiting on someone else's
-// in-flight load as StageLoadWait. The resident fast path records
-// nothing.
+// in-flight load as StageLoadWait. The resident path and a re-install
+// record nothing.
 func (s *GridSet) Acquire(ctx context.Context, name string) (*Lease, error) {
 	sp := obs.FromContext(ctx)
 	for {
-		// Fast path: resident grid, read lock only. The refcount
-		// increment is safe under the read lock because eviction (which
-		// drops the registry's reference) requires the write lock.
-		s.mu.RLock()
-		if e, ok := s.resident[name]; ok {
-			e.refs.Add(1)
-			s.mu.RUnlock()
-			s.touch(e)
-			return &Lease{s: s, e: e}, nil
-		}
-		lc, inflight := s.loading[name]
-		_, known := s.sources[name]
-		s.mu.RUnlock()
-		if !known {
+		s.mu.Lock()
+		src, ok := s.sources[name]
+		if !ok {
+			s.mu.Unlock()
 			return nil, fmt.Errorf("%w %q", ErrUnknownGrid, name)
 		}
-
-		if !inflight {
-			lease, joined, err := s.lead(sp, name)
+		if e := src.cur; e != nil {
+			e.refs.Add(1)
+			s.lru.MoveToFront(src.el)
+			s.mu.Unlock()
+			return &Lease{s: s, e: e}, nil
+		}
+		if e := src.evicted; e != nil && e.revive() {
+			victims := s.installLocked(src, e)
+			s.mu.Unlock()
+			s.evict(victims)
+			return &Lease{s: s, e: e}, nil
+		}
+		lc := src.load
+		if lc == nil {
+			lease, err := s.lead(sp, src)
 			if errors.Is(err, errStaleLoad) {
 				continue // a Swap won the race; pick up its entry
 			}
-			if err != nil {
-				return nil, err
-			}
-			if lease != nil {
-				return lease, nil
-			}
-			lc = joined
-		} else if s.OnLoadWait != nil {
+			return lease, err
+		}
+		s.mu.Unlock()
+		if s.OnLoadWait != nil {
 			s.OnLoadWait(name)
 		}
-
 		waitStart := time.Now()
 		select {
 		case <-lc.done:
@@ -477,159 +486,117 @@ func (s *GridSet) Acquire(ctx context.Context, name string) (*Lease, error) {
 			sp.Add(obs.StageLoadWait, time.Since(waitStart))
 			return nil, ctx.Err()
 		}
-		if lc.err != nil {
-			if errors.Is(lc.err, errStaleLoad) {
-				continue // a Swap won the race; pick up its entry
-			}
+		if lc.err != nil && !errors.Is(lc.err, errStaleLoad) {
 			return nil, lc.err
 		}
-		// Loaded; loop to pick it up (or reload if it was already
-		// evicted again by other traffic).
+		// Loaded, or superseded by a Swap: loop to pick up the entry (or
+		// reload if other traffic already evicted it again).
 	}
 }
 
-// lead tries to become the loading leader for name. It returns exactly
-// one of: a lease (grid was or became resident), a loadCall to wait on
-// (someone else is loading), or an error. sp is the leading request's
-// span (nil when untraced); the file read + decode is charged to it as
-// StageLoad.
-func (s *GridSet) lead(sp *obs.Span, name string) (*Lease, *loadCall, error) {
-	s.mu.Lock()
-	if e, ok := s.resident[name]; ok {
-		e.refs.Add(1)
-		s.mu.Unlock()
-		s.touch(e)
-		return &Lease{s: s, e: e}, nil, nil
-	}
-	if lc, ok := s.loading[name]; ok {
-		s.mu.Unlock()
-		if s.OnLoadWait != nil {
-			s.OnLoadWait(name)
-		}
-		return nil, lc, nil
-	}
-	src, ok := s.sources[name]
-	if !ok {
-		s.mu.Unlock()
-		return nil, nil, fmt.Errorf("%w %q", ErrUnknownGrid, name)
-	}
+// lead loads src as the leader of its singleflight. It is entered with
+// s.mu held and releases it for the read, which sp is charged for as
+// StageLoad. It returns the caller's lease, the load error, or
+// errStaleLoad when a Swap installed a newer version while the read
+// was in flight: installing it then would roll the name back, so it is
+// discarded and every waiter retries against the swapped-in entry.
+func (s *GridSet) lead(sp *obs.Span, src *source) (*Lease, error) {
 	lc := &loadCall{done: make(chan struct{})}
-	s.loading[name] = lc
-	path := src.path
-	key := src.key
-	version := src.version
+	src.load = lc
+	from, version := src.from, src.version
 	s.mu.Unlock()
 
-	// The file read happens here, with no registry lock held: a cold
-	// load of one grid never blocks Acquire/Get on any other.
 	start := time.Now()
-	og, err := s.load(name, path, key)
+	og, err := s.load(src.name, from)
 	took := time.Since(start)
 	sp.Add(obs.StageLoad, took)
 
+	var e *entry
 	var victims []*entry
-	var lease *Lease
-	var stale *compactsg.OpenGrid
 	s.mu.Lock()
-	delete(s.loading, name)
+	src.load = nil
 	if err == nil && src.version != version {
-		// The source was swapped while this load was reading the old
-		// file: installing it would roll the name back. Discard and let
-		// every waiter retry against the swapped-in entry.
-		stale, og = og, nil
 		err = errStaleLoad
-	}
-	if err == nil {
-		var e *entry
-		e, victims = s.installLocked(src, og, 2) // the registry's reference + this caller's lease
-		lease = &Lease{s: s, e: e}
+	} else if err == nil {
+		e = newEntry(src, og, 2) // the registry's reference + this caller's lease
+		victims = s.installLocked(src, e)
 	}
 	lc.err = err
 	s.mu.Unlock()
 	close(lc.done)
 
-	if stale != nil {
-		stale.Close()
+	if errors.Is(err, errStaleLoad) {
+		og.Close()
+		return nil, err
 	}
 	if err != nil {
-		if errors.Is(err, errStaleLoad) {
-			return nil, nil, err // not a failure: the swap's entry serves
-		}
 		if s.OnLoadFail != nil {
-			s.OnLoadFail(name, err)
+			s.OnLoadFail(src.name, err)
 		}
-		return nil, nil, err
+		return nil, err
 	}
 	if s.OnLoad != nil {
-		s.OnLoad(name, og.Mode, took)
+		s.OnLoad(src.name, og.Mode, took)
 	}
-	for _, v := range victims {
-		s.finishEvict(v)
-	}
-	return lease, nil, nil
+	s.evict(victims)
+	return &Lease{s: s, e: e}, nil
 }
 
-// installLocked makes og the resident instance of src, starting with
-// refs references (the registry's own plus any lease handed out with
-// it), and records its shape on src. It returns the new entry and the
-// entries to evict, with no hooks run yet: the instance it displaced
-// under the name, if any, first, then those the resident bound pushed
-// out of the LRU. Caller holds s.mu for writing.
-func (s *GridSet) installLocked(src *source, og *compactsg.OpenGrid, refs int64) (*entry, []*entry) {
-	g := og.Grid
-	src.known = true
-	src.dim, src.level = g.Dim(), g.Level()
-	src.points, src.bytes = g.Points(), g.MemoryBytes()
-	e := &entry{name: src.name, grid: g, open: og}
-	e.refs.Store(refs)
+// installLocked makes e the resident, most-recently-used instance of
+// src, records its shape on src and forgets src's evicted instance. It
+// returns the entries to evict, with no hooks run yet: the instance it
+// displaced under the name, if any, first, then those the resident
+// bound pushed out of the LRU, each remembered as its record's evicted
+// instance. Caller holds s.mu.
+func (s *GridSet) installLocked(src *source, e *entry) []*entry {
+	g := e.open.Grid
+	src.dim, src.level, src.points, src.bytes = g.Dim(), g.Level(), g.Points(), g.MemoryBytes()
 	var victims []*entry
-	s.lruMu.Lock()
-	defer s.lruMu.Unlock()
-	if old := s.resident[src.name]; old != nil {
-		s.lru.Remove(old.el)
-		victims = append(victims, old)
+	if src.cur != nil {
+		victims = append(victims, src.cur)
+		s.lru.MoveToFront(src.el)
+	} else {
+		src.el = s.lru.PushFront(src)
 	}
-	s.resident[src.name] = e
-	e.el = s.lru.PushFront(e)
+	src.cur, src.evicted = e, nil
 	for s.lru.Len() > s.maxResident {
-		back := s.lru.Back()
-		v := back.Value.(*entry)
-		s.lru.Remove(back)
-		delete(s.resident, v.name)
-		victims = append(victims, v)
+		v := s.lru.Remove(s.lru.Back()).(*source)
+		victims = append(victims, v.cur)
+		v.cur, v.el, v.evicted = nil, nil, v.cur
 	}
-	return e, victims
+	return victims
 }
 
-// touch marks an entry most-recently-used. Harmlessly a no-op if the
-// entry was concurrently evicted (its element is detached).
-func (s *GridSet) touch(e *entry) {
-	s.lruMu.Lock()
-	s.lru.MoveToFront(e.el)
-	s.lruMu.Unlock()
-}
-
-// finishEvict runs the eviction hooks for an entry already removed from
-// the resident map, then drops the registry's reference. Called with no
-// locks held.
-func (s *GridSet) finishEvict(v *entry) {
-	if s.OnEvict != nil {
-		s.OnEvict(v.name, v.grid)
+// evict runs the eviction hooks of entries already removed from the
+// resident set and drops the registry's reference on each. Called with
+// no locks held.
+func (s *GridSet) evict(victims []*entry) {
+	for _, v := range victims {
+		if s.OnEvict != nil {
+			s.OnEvict(v.src.name, v.open.Grid)
+		}
+		s.releaseEntry(v)
 	}
-	s.releaseEntry(v)
 }
 
 // releaseEntry drops one reference; the goroutine that drops the last
-// reference of an evicted entry fires OnRetire and then releases the
-// grid's backing storage (for mmap loads, the munmap — deferred to this
-// point precisely so leased-out evicted grids stay readable).
+// reference of an evicted entry clears it from its record, fires
+// OnRetire and then releases the grid's backing storage (for mmap
+// loads, the munmap — deferred to this point precisely so leased-out
+// evicted grids stay readable). Called with no locks held.
 func (s *GridSet) releaseEntry(e *entry) {
-	if e.refs.Add(-1) == 0 {
-		if s.OnRetire != nil {
-			s.OnRetire(e.name, e.grid)
-		}
-		e.open.Close()
+	if e.refs.Add(-1) != 0 {
+		return
 	}
+	s.mu.Lock()
+	if e.src.evicted == e {
+		e.src.evicted = nil
+	}
+	s.mu.Unlock()
+	if s.OnRetire != nil {
+		s.OnRetire(e.src.name, e.open.Grid)
+	}
+	e.open.Close()
 }
 
 // Purge evicts every resident grid. Grids with outstanding leases stay
@@ -637,19 +604,24 @@ func (s *GridSet) releaseEntry(e *entry) {
 // unmapped) before Purge returns. The server calls it on Close so a
 // shut-down server holds no file mappings.
 func (s *GridSet) Purge() {
-	var victims []*entry
 	s.mu.Lock()
-	s.lruMu.Lock()
-	for name, e := range s.resident {
-		delete(s.resident, name)
-		s.lru.Remove(e.el)
-		victims = append(victims, e)
-	}
-	s.lruMu.Unlock()
-	s.mu.Unlock()
+	victims := s.residentLocked()
 	for _, v := range victims {
-		s.finishEvict(v)
+		v.src.cur, v.src.el = nil, nil
 	}
+	s.lru.Init()
+	s.mu.Unlock()
+	s.evict(victims)
+}
+
+// residentLocked returns the resident entries, most recently used
+// first. Caller holds s.mu.
+func (s *GridSet) residentLocked() []*entry {
+	es := make([]*entry, 0, s.lru.Len())
+	for el := s.lru.Front(); el != nil; el = el.Next() {
+		es = append(es, el.Value.(*source).cur)
+	}
+	return es
 }
 
 // DropPages sheds the resident pages of name's mapped payload
@@ -658,13 +630,14 @@ func (s *GridSet) Purge() {
 // page-granular eviction knob for memory pressure, as opposed to the
 // whole-grid LRU eviction of the resident bound.
 func (s *GridSet) DropPages(name string) error {
-	s.mu.RLock()
-	e, ok := s.resident[name]
-	if ok {
+	s.mu.Lock()
+	var e *entry
+	if src := s.sources[name]; src != nil && src.cur != nil {
+		e = src.cur
 		e.refs.Add(1)
 	}
-	s.mu.RUnlock()
-	if !ok {
+	s.mu.Unlock()
+	if e == nil {
 		return nil // cold grids hold no pages
 	}
 	err := e.open.DropPages()
@@ -676,13 +649,12 @@ func (s *GridSet) DropPages(name string) error {
 // resident grid payloads (mincore over each mapping; full payload size
 // for copy loads). It is the gauge behind sgserve_mapped_resident_bytes.
 func (s *GridSet) ResidentPayloadBytes() int64 {
-	s.mu.RLock()
-	es := make([]*entry, 0, len(s.resident))
-	for _, e := range s.resident {
+	s.mu.Lock()
+	es := s.residentLocked()
+	for _, e := range es {
 		e.refs.Add(1)
-		es = append(es, e)
 	}
-	s.mu.RUnlock()
+	s.mu.Unlock()
 	var sum int64
 	for _, e := range es {
 		if n, err := e.open.ResidentBytes(); err == nil {
@@ -714,52 +686,20 @@ func (s *GridSet) Preload() error {
 	return errors.Join(errs...)
 }
 
-// load reads and validates one grid through compactsg.Open, so SGC2
-// snapshots arrive zero-copy (memory-mapped) where the platform allows
-// and everything else goes through the copying decoders. When key is
-// set the file comes out of the tiered store instead of a fixed path:
+// load reads and validates the grid at locator from through
+// compactsg.Open, so SGC2 snapshots arrive zero-copy (memory-mapped)
+// where the platform allows and everything else goes through the
+// copying decoders. A store: locator comes out of the tiered store:
 // cache hit → mmap, miss → remote fetch → verify → cache → mmap. No
 // registry lock is held.
-func (s *GridSet) load(name, path, key string) (*compactsg.OpenGrid, error) {
-	if s.LoadHook != nil {
-		if err := s.LoadHook(name); err != nil {
-			return nil, fmt.Errorf("serve: loading %s: %w", sourceDesc(path, key), err)
-		}
-	}
-	desc := sourceDesc(path, key)
-	var og *compactsg.OpenGrid
-	var err error
-	if key != "" {
-		st := s.Store()
-		if st == nil {
-			return nil, fmt.Errorf("serve: loading %s: no store configured", desc)
-		}
-		var obj *store.Object
-		obj, err = st.Get(context.Background(), key)
-		if err != nil {
-			return nil, fmt.Errorf("serve: loading %s: %w", desc, err)
-		}
-		// The pin covers exactly the Open window; once mmap'd, the
-		// payload survives the cache evicting (unlinking) the file.
-		og, err = compactsg.Open(obj.Path(), s.opts...)
-		obj.Release()
-		if err != nil {
-			// A cached object corrupt at open time (disk rot after
-			// admission) is dropped so the next load refetches it.
-			var ce *core.CorruptError
-			if errors.As(err, &ce) {
-				st.Drop(key)
-			}
-		}
-	} else {
-		og, err = compactsg.Open(path, s.opts...)
-	}
+func (s *GridSet) load(name, from string) (*compactsg.OpenGrid, error) {
+	og, err := s.open(name, from)
 	if err != nil {
-		return nil, fmt.Errorf("serve: loading %s: %w", desc, err)
+		return nil, fmt.Errorf("serve: loading %s: %w", from, err)
 	}
 	if !og.Compressed() {
 		og.Close()
-		return nil, fmt.Errorf("serve: %s holds nodal values, not hierarchical coefficients; compress it first", desc)
+		return nil, fmt.Errorf("serve: %s holds nodal values, not hierarchical coefficients; compress it first", from)
 	}
 	if og.Mode == compactsg.LoadMmap {
 		// Start faulting the payload in now: a cold-loaded grid is about
@@ -770,10 +710,33 @@ func (s *GridSet) load(name, path, key string) (*compactsg.OpenGrid, error) {
 	return og, nil
 }
 
-// sourceDesc names a load source for error messages.
-func sourceDesc(path, key string) string {
-	if key != "" {
-		return "store:" + key
+// open runs LoadHook and opens from, for load.
+func (s *GridSet) open(name, from string) (*compactsg.OpenGrid, error) {
+	if s.LoadHook != nil {
+		if err := s.LoadHook(name); err != nil {
+			return nil, err
+		}
 	}
-	return path
+	key, stored := strings.CutPrefix(from, storePrefix)
+	if !stored {
+		return compactsg.Open(from, s.opts...)
+	}
+	if s.store == nil {
+		return nil, errors.New("no store configured")
+	}
+	obj, err := s.store.Get(context.Background(), key)
+	if err != nil {
+		return nil, err
+	}
+	// The pin covers exactly the Open window; once mmap'd, the payload
+	// survives the cache evicting (unlinking) the file.
+	og, err := compactsg.Open(obj.Path(), s.opts...)
+	obj.Release()
+	var ce *core.CorruptError
+	if errors.As(err, &ce) {
+		// A cached object corrupt at open time (disk rot after admission)
+		// is dropped so the next load refetches it.
+		s.store.Drop(key)
+	}
+	return og, err
 }

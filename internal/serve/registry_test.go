@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"compactsg"
+	"compactsg/internal/core"
 )
 
 // newTestSet registers n grids (named q0..qn-1) in a fresh registry
@@ -184,6 +185,203 @@ func TestLeaseRetire(t *testing.T) {
 	if got := retired.Load(); got != 1 {
 		t.Fatalf("OnRetire fired %d times, want 1", got)
 	}
+}
+
+// TestAcquireReinstallsLeasedEvictedGrid: a cold Acquire of a name
+// whose evicted instance is still leased re-installs that instance
+// instead of reading the file again, and a Swap forgets it, so the old
+// version never comes back.
+func TestAcquireReinstallsLeasedEvictedGrid(t *testing.T) {
+	baseline := core.ActiveMappings()
+	s := newTestSet(t, 1, 2)
+	var loads atomic.Int64
+	s.LoadHook = func(string) error {
+		loads.Add(1)
+		return nil
+	}
+	ctx := context.Background()
+	held, err := s.Acquire(ctx, "q0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	held1, err := s.Acquire(ctx, "q1") // evicts q0 (maxResident 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nLoads, maps := loads.Load(), core.ActiveMappings()
+	again, err := s.Acquire(ctx, "q0") // evicts q1, which held1 keeps mapped
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Grid() != held.Grid() {
+		t.Fatal("Acquire of an evicted, still-leased grid returned a new instance")
+	}
+	if n := loads.Load(); n != nLoads {
+		t.Fatalf("re-install read the file: %d loads, want %d", n, nLoads)
+	}
+	if n := core.ActiveMappings(); n != maps {
+		t.Fatalf("re-install mapped the file again: %d mappings, want %d", n, maps)
+	}
+	if gi := s.Info(); !gi[0].Resident || gi[1].Resident {
+		t.Fatalf("after re-install: %+v, want q0 resident and q1 evicted", gi)
+	}
+	again.Release()
+	held1.Release()
+
+	// Evict q0 again while held, swap in a new version, and purge it:
+	// the next cold Acquire must load the swapped version.
+	if _, err := s.Get("q1"); err != nil {
+		t.Fatal(err)
+	}
+	p2, ref2 := writeScaledGrid(t, t.TempDir(), "v2.sg", 2, 3, 2)
+	if _, err := s.Swap("q0", p2, 0); err != nil {
+		t.Fatal(err)
+	}
+	s.Purge()
+	lease, err := s.Acquire(ctx, "q0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if lease.Grid() == held.Grid() {
+		t.Fatal("a Swap's displaced, still-leased instance was handed out again")
+	}
+	x := []float64{0.25, 0.5}
+	if got, want := mustEvalRef(t, lease.Grid(), x), mustEvalRef(t, ref2, x); got != want {
+		t.Fatalf("after Swap and Purge: q0(%v) = %g, want the swapped version's %g", x, got, want)
+	}
+	lease.Release()
+	held.Release()
+	s.Purge()
+	if n := core.ActiveMappings(); n != baseline {
+		t.Fatalf("%d file mappings leaked", n-baseline)
+	}
+}
+
+// FuzzRegistryOps drives one registry (MaxResident 2, three names, two
+// on-disk versions of each) on one goroutine through a sequence of
+// ops: acquire-and-hold, release, Swap to the other version, Purge and
+// DropPages. After every op, each held lease must still evaluate its
+// own version bit for bit, a fresh Acquire must serve the installed
+// version, no Version may decrease, and ResidentCount must stay within
+// the bound and agree with Info. Releasing every lease and purging must
+// leave no file mapping behind.
+func FuzzRegistryOps(f *testing.F) {
+	const names = 3
+	x := []float64{0.3, 0.7}
+	var paths [names][2]string
+	var want [names][2]uint64
+	dir := f.TempDir()
+	for n := range names {
+		for v := range 2 {
+			sub := filepath.Join(dir, fmt.Sprintf("q%d.v%d", n, v))
+			if err := os.Mkdir(sub, 0o755); err != nil {
+				f.Fatal(err)
+			}
+			var ref *compactsg.Grid
+			paths[n][v], ref = writeGrid(f, sub, 2, 2+2*n+v) // distinct level, distinct value
+			y, err := ref.Evaluate(x)
+			if err != nil {
+				f.Fatal(err)
+			}
+			want[n][v] = math.Float64bits(y)
+		}
+	}
+	// An op byte is kind (op%5: acquire-and-hold, release, swap, purge,
+	// drop pages) and argument (op/5: a name, or for release the held
+	// lease to drop).
+	f.Add([]byte{})
+	f.Add([]byte{0, 5, 10})
+	f.Add([]byte{0, 5, 10, 1, 1, 1})
+	f.Add([]byte{2, 7, 12, 3})
+	f.Add([]byte{0, 2, 4, 1, 3})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		baseline := core.ActiveMappings()
+		s := NewGridSet(2)
+		for n := range names {
+			if err := s.Add(fmt.Sprintf("q%d", n), paths[n][0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+		ctx := context.Background()
+		var installed [names]int
+		var versions [names]uint64
+		type held struct {
+			l    *Lease
+			want uint64
+		}
+		var leases []held
+		bits := func(l *Lease) uint64 {
+			y, err := l.Grid().Evaluate(x)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return math.Float64bits(y)
+		}
+		for k, op := range ops[:min(len(ops), 64)] {
+			n, name := int(op/5)%names, fmt.Sprintf("q%d", int(op/5)%names)
+			switch op % 5 {
+			case 0:
+				l, err := s.Acquire(ctx, name)
+				if err != nil {
+					t.Fatal(err)
+				}
+				leases = append(leases, held{l, want[n][installed[n]]})
+			case 1:
+				if len(leases) > 0 {
+					j := int(op/5) % len(leases)
+					leases[j].l.Release()
+					leases = append(leases[:j], leases[j+1:]...)
+				}
+			case 2:
+				if _, err := s.Swap(name, paths[n][1-installed[n]], 0); err != nil {
+					t.Fatal(err)
+				}
+				installed[n] = 1 - installed[n]
+			case 3:
+				s.Purge()
+			case 4:
+				if err := s.DropPages(name); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for j, h := range leases {
+				if got := bits(h.l); got != h.want {
+					t.Fatalf("op %d (%d): held lease %d evaluates %x, want %x", k, op, j, got, h.want)
+				}
+			}
+			l, err := s.Acquire(ctx, name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := bits(l); got != want[n][installed[n]] {
+				t.Fatalf("op %d (%d): fresh Acquire of %s evaluates %x, want version %d's %x", k, op, name, got, installed[n], want[n][installed[n]])
+			}
+			l.Release()
+			for m := range names {
+				v := s.Version(fmt.Sprintf("q%d", m))
+				if v < versions[m] {
+					t.Fatalf("op %d (%d): q%d version went back from %d to %d", k, op, m, versions[m], v)
+				}
+				versions[m] = v
+			}
+			resident := 0
+			for _, gi := range s.Info() {
+				if gi.Resident {
+					resident++
+				}
+			}
+			if rc := s.ResidentCount(); rc > 2 || rc != resident {
+				t.Fatalf("op %d (%d): ResidentCount %d, %d Info rows resident, bound 2", k, op, rc, resident)
+			}
+		}
+		for _, h := range leases {
+			h.l.Release()
+		}
+		s.Purge()
+		if n := core.ActiveMappings(); n != baseline {
+			t.Fatalf("%d file mappings leaked", n-baseline)
+		}
+	})
 }
 
 // TestPreloadContinuesPastBrokenGrid: one corrupt grid file must not

@@ -75,8 +75,8 @@ type Config struct {
 	Online OnlineConfig
 	// Store, when non-nil, backs the registry's cold-load path with a
 	// tiered snapshot store (content-addressed local cache + remote
-	// tier). Grids registered with AddStoredGrid load through it, and
-	// Swap publishes exported snapshots into it. The server also
+	// tier). Grids registered under a store: locator load through it,
+	// and Swap publishes exported snapshots into it. The server also
 	// exports sgserve_store_* gauges refreshed on every /metrics scrape.
 	Store *store.Store
 	// BlobDir, when non-empty, serves that directory as an HTTP blob
@@ -195,14 +195,10 @@ func New(cfg Config) *Server {
 		s.met.loads.Inc()
 		s.met.loadModes.With(mode.String()).Inc()
 		s.met.loadSecs.Observe(took.Seconds())
-		s.met.resident.Set(float64(s.grids.ResidentCount()))
 	}
 	s.grids.OnLoadFail = func(string, error) { s.met.loadFails.Inc() }
 	s.grids.OnLoadWait = func(string) { s.met.loadWaits.Inc() }
-	s.grids.OnEvict = func(string, *compactsg.Grid) {
-		s.met.evictions.Inc()
-		s.met.resident.Set(float64(s.grids.ResidentCount()))
-	}
+	s.grids.OnEvict = func(string, *compactsg.Grid) { s.met.evictions.Inc() }
 	s.grids.OnSwap = func(name string, version uint64) {
 		s.met.swaps.Inc()
 		s.met.gridVersion.With(name).Set(float64(version))
@@ -337,16 +333,16 @@ func (s *Server) ConnState(_ net.Conn, st http.ConnState) {
 	}
 }
 
-// AddGrid registers a compressed grid file under name.
+// AddGrid registers a compressed grid under name, located by path: a
+// file path, or "store:" plus an SGC2 content address that loads
+// through the tiered store (requires Config.Store). See GridSet.Add.
 func (s *Server) AddGrid(name, path string) error { return s.grids.Add(name, path) }
 
-// AddStoredGrid registers a grid that loads through the tiered store
-// by SGC2 content address (requires Config.Store).
-func (s *Server) AddStoredGrid(name, key string) error { return s.grids.AddStored(name, key) }
-
-// refreshStoreMetrics copies the store counters and the resident-page
-// estimate into their gauges; runs on every /metrics scrape.
+// refreshStoreMetrics copies the store counters, the resident grid
+// count and the resident-page estimate into their gauges; runs on every
+// /metrics scrape.
 func (s *Server) refreshStoreMetrics() {
+	s.met.resident.Set(float64(s.grids.ResidentCount()))
 	s.met.residentBytes.Set(float64(s.grids.ResidentPayloadBytes()))
 	if s.met.storeGauges == nil {
 		return

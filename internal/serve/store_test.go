@@ -210,7 +210,7 @@ func TestServerStoreMetrics(t *testing.T) {
 	}
 	srv := New(Config{Store: st})
 	t.Cleanup(func() { srv.Close(); st.Close() })
-	if err := srv.AddStoredGrid("g", key); err != nil {
+	if err := srv.AddGrid("g", "store:"+key); err != nil {
 		t.Fatal(err)
 	}
 	h := srv.Handler()
@@ -293,4 +293,65 @@ func TestBlobEndpointOnServer(t *testing.T) {
 		t.Fatal(err)
 	}
 	og.Close()
+}
+
+// TestSwapDropsDisplacedStoreObject: each online refine publishes its
+// snapshot into the store, and the swap that displaces a version drops
+// that version's object from the local cache unless another name still
+// locates it, so a remote-less store holds one object per name instead
+// of one per refine.
+func TestSwapDropsDisplacedStoreObject(t *testing.T) {
+	st, err := store.Open(store.Config{Dir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Store: st, Online: OnlineConfig{Enabled: true, SnapshotDir: t.TempDir()}})
+	t.Cleanup(func() { s.Close(); st.Close() })
+	h := s.Handler()
+	refine := func(round int) string {
+		t.Helper()
+		obs := observeRequest{Points: [][]float64{{0.5, 0.5}}, Values: []float64{float64(round + 1)}}
+		if rec := postJSON(t, h, "/v1/grids/g/observe", obs); rec.Code != 200 {
+			t.Fatalf("round %d: observe status %d: %s", round, rec.Code, rec.Body)
+		}
+		res, err := s.RefineOnline("g")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Swapped {
+			t.Fatalf("round %d did not swap: %+v", round, res)
+		}
+		key, err := store.KeyOfFile(res.SnapshotPath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return key
+	}
+	var key string
+	for round := 0; round < 30; round++ {
+		key = refine(round)
+	}
+	if stats := st.Stats(); stats.Objects != 1 || !st.Contains(key) {
+		t.Fatalf("after 30 swaps the cache holds %d objects (%d B), want only the installed %s", stats.Objects, stats.SizeBytes, key)
+	}
+
+	// The installed version still reloads from the cache.
+	s.Grids().Purge()
+	hits := st.Stats().Hits
+	if _, err := s.Grids().Get("g"); err != nil {
+		t.Fatal(err)
+	}
+	if got := st.Stats().Hits; got != hits+1 {
+		t.Fatalf("reload after purge: %d store hits, want %d", got, hits+1)
+	}
+
+	// A second name on the installed key keeps its object across the
+	// next swap of g.
+	if err := s.AddGrid("pin", "store:"+key); err != nil {
+		t.Fatal(err)
+	}
+	next := refine(30)
+	if !st.Contains(key) || !st.Contains(next) || st.Stats().Objects != 2 {
+		t.Fatalf("cache after swapping a key another name locates: %+v, want %s and %s", st.Stats(), key, next)
+	}
 }
